@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto distinct exit codes, so library code should raise
-the most specific class that applies instead of bare ValueError.
+Library code raises the most specific class that applies instead of a bare
+ValueError, so callers can tell bad input from bad data and from divergence.
 """
 
 
@@ -25,17 +25,5 @@ class ParseError(DataError):
     """A CSV/JSON artifact could not be parsed."""
 
 
-class ProtocolError(ContourselError):
-    """An experiment protocol requirement is not met."""
-
-
 class TrainingError(ContourselError):
     """Training produced a non-finite loss or otherwise diverged."""
-
-
-class SelectionError(ContourselError):
-    """Solver selection received unusable predictions."""
-
-
-class ConfigError(ContourselError):
-    """Experiment configuration is invalid."""

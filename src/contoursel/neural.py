@@ -279,6 +279,8 @@ class TrainConfig:
             raise ContractError("learning_rate must be positive")
         if self.epochs < 1:
             raise ContractError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ContractError("batch_size must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ContractError(f"unknown optimizer {self.optimizer!r}")
 
@@ -539,7 +541,9 @@ def train(model: Model, dataset: Dataset, config: TrainConfig):
     """Train in place; returns the per-epoch mean loss curve.
 
     Randomness (batch order and view-order augmentation) flows from
-    config.seed only, so runs are reproducible bit for bit.
+    config.seed only, so runs are reproducible bit for bit at a fixed BLAS
+    thread count; other thread counts may sum matrix products in another
+    order and so differ in the last digits.
     """
     n = len(dataset)
     if n == 0:
@@ -661,22 +665,34 @@ def load_model(path, expect_spec: ModelSpec | None = None) -> Model:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not a valid model container: {exc}") from exc
-    if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_FORMAT_VERSION:
+    if (
+        not isinstance(payload, dict)
+        or payload.get("format") != MODEL_FORMAT
+        or payload.get("version") != MODEL_FORMAT_VERSION
+    ):
         raise ParseError(f"{path}: unknown model format")
-    spec = ModelSpec.from_json(payload["spec"])
+    try:
+        spec = ModelSpec.from_json(payload["spec"])
+        stored = payload["params"]
+    except KeyError as exc:
+        raise ParseError(f"{path}: model container lacks key {exc}") from exc
     if expect_spec is not None and spec != expect_spec:
         raise DataError(f"{path}: model spec does not match the expected spec")
     model = Model(spec, seed=0)
     params = model.params()
-    stored = payload["params"]
     if len(stored) != len(params):
         raise DataError(f"{path}: parameter count mismatch")
     for p, entry in zip(params, stored):
-        if entry["name"] != p.name or tuple(entry["shape"]) != p.value.shape:
-            raise DataError(f"{path}: parameter {entry['name']} does not fit the spec")
-        raw = base64.b64decode(entry["data"])
-        arr = np.frombuffer(raw, dtype="<f8")
+        try:
+            name, shape, data = entry["name"], entry["shape"], entry["data"]
+        except KeyError as exc:
+            raise ParseError(f"{path}: parameter entry lacks key {exc}") from exc
+        if name != p.name or tuple(shape) != p.value.shape:
+            raise DataError(f"{path}: parameter {name} does not fit the spec")
+        arr = np.frombuffer(base64.b64decode(data), dtype="<f8")
         if arr.size != p.value.size:
-            raise DataError(f"{path}: parameter {entry['name']} has wrong payload size")
+            raise DataError(f"{path}: parameter {name} has wrong payload size")
+        if not np.all(np.isfinite(arr)):
+            raise DataError(f"{path}: parameter {name} is not finite")
         p.value[...] = arr.reshape(p.value.shape)
     return model

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +19,7 @@ from .errors import ContractError, DataError, ParseError
 
 log = logging.getLogger(__name__)
 
-TARGET_PRECISION = 1e-2
 RELHV_EPSILON = 1e-8
-PAPER_PENALTY = 36_690.3
 REFERENCE_INFLATION = 1.1
 
 RUN_CSV_HEADER = ["algorithm", "function", "dimension", "instance", "evaluations", "success"]
@@ -107,6 +106,9 @@ def relert_matrix(erts: dict, penalty_override: float | None = None) -> RelErtTa
     table (PAR10 style); pass penalty_override to pin the constant instead,
     e.g. for parity with externally published tables.
     """
+    for key, v in erts.items():
+        if v is not None and not (math.isfinite(v) and v > 0):
+            raise DataError(f"ERT for {key} must be finite and positive, got {v!r}")
     algorithms = tuple(sorted({a for (_, _, a) in erts}))
     configs = sorted({(f, d) for (f, d, _) in erts})
     kept = []
@@ -154,6 +156,23 @@ def vbs_mean(table: RelErtTable) -> float:
     )
 
 
+def nondominated_2d(points) -> np.ndarray:
+    """Mask, in input order, of the points of a 2-D minimization set that no
+    other point dominates; of exact duplicates only the first is kept.
+
+    After a stable sort by (f1, f2), a point is nondominated exactly when its
+    f2 lies strictly below every f2 before it (the O(n log n) maxima method
+    of Kung, Luccio & Preparata 1975).
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    f2 = pts[order, 1]
+    best_before = np.minimum.accumulate(np.concatenate(([np.inf], f2[:-1])))
+    keep = np.zeros(len(pts), dtype=bool)
+    keep[order] = f2 < best_before
+    return keep
+
+
 def hypervolume_2d(points, ref) -> float:
     """Exact dominated area of a 2-D minimization front w.r.t. a reference point.
 
@@ -162,27 +181,15 @@ def hypervolume_2d(points, ref) -> float:
     """
     ref = np.asarray(ref, dtype=float)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(pts) == 0:
-        return 0.0
     pts = pts[(pts[:, 0] < ref[0]) & (pts[:, 1] < ref[1])]
     if len(pts) == 0:
         return 0.0
-    # sort by f1 then f2; keep the running f2 minimum = the nondominated staircase
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    hv = 0.0
-    best_f2 = np.inf
-    kept_f1 = []
-    kept_f2 = []
-    for f1, f2 in pts:
-        if f2 < best_f2:
-            best_f2 = f2
-            kept_f1.append(f1)
-            kept_f2.append(f2)
-    for i in range(len(kept_f1)):
-        f1_next = kept_f1[i + 1] if i + 1 < len(kept_f1) else ref[0]
-        hv += (f1_next - kept_f1[i]) * (ref[1] - kept_f2[i])
-    return float(hv)
+    front = pts[nondominated_2d(pts)]
+    front = front[np.argsort(front[:, 0])]
+    areas = np.diff(front[:, 0], append=ref[0]) * (ref[1] - front[:, 1])
+    # cumsum adds strictly left to right, unlike the pairwise np.sum, so the
+    # value does not depend on how numpy blocks the reduction
+    return float(np.cumsum(areas)[-1])
 
 
 def rel_hv(hv: float, hv_sbs: float, hv_vbs: float, eps: float = RELHV_EPSILON) -> float:
@@ -228,8 +235,11 @@ def build_moo_table(records, hv_best: dict) -> MooPerfTable:
     over repetitions before the SBS/VBS split (see the report disclaimer for
     this aggregation choice).
     """
-    instances = tuple(sorted({r.instance for r in records}))
-    algorithms = tuple(sorted({r.algorithm for r in records}))
+    groups: dict[tuple, list] = {}
+    for r in records:
+        groups.setdefault((r.instance, r.algorithm), []).append(r.hv)
+    instances = tuple(sorted({i for i, _ in groups}))
+    algorithms = tuple(sorted({a for _, a in groups}))
     hv_norm = {}
     for inst in instances:
         if inst not in hv_best:
@@ -238,8 +248,8 @@ def build_moo_table(records, hv_best: dict) -> MooPerfTable:
             raise DataError(f"best-known HV for {inst!r} must be positive")
     for inst in instances:
         for a in algorithms:
-            vals = [r.hv for r in records if r.instance == inst and r.algorithm == a]
-            if not vals:
+            vals = groups.get((inst, a))
+            if vals is None:
                 raise DataError(f"no runs for ({inst}, {a})")
             hv_norm[(inst, a)] = float(np.mean(vals)) / hv_best[inst]
     means = {a: float(np.mean([hv_norm[(i, a)] for i in instances])) for a in algorithms}
@@ -258,89 +268,86 @@ def build_moo_table(records, hv_best: dict) -> MooPerfTable:
 
 
 # ---------------------------------------------------------------------------
-# CSV plumbing
+# CSV plumbing: one writer and one reader; each file kind supplies how a
+# record becomes a row and how a row becomes a record.
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_csv(path, header, parse_row) -> list:
+    """parse_row over every non-blank row below the expected header; a row
+    it rejects raises ParseError naming path:line."""
+    records = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got != header:
+            raise ParseError(f"{path}: expected header {header}, got {got}")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                records.append(parse_row(row))
+            except (ValueError, ContractError) as exc:
+                raise ParseError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
+    return records
+
+
+def _parse_run(row) -> RunRecord:
+    algorithm, function_code, dimension, instance, evaluations, success = row
+    if success not in ("0", "1"):
+        raise ValueError(f"success must be 0 or 1, got {success!r}")
+    return RunRecord(
+        algorithm=algorithm,
+        function_code=function_code,
+        dimension=int(dimension),
+        instance_index=int(instance),
+        evaluations_used=int(evaluations),
+        success=success == "1",
+    )
+
+
+def _parse_moo_hv(row) -> MooHvRecord:
+    algorithm, instance, repetition, hv = row
+    value = float(hv)
+    if not math.isfinite(value):
+        raise ValueError(f"hv must be finite, got {hv!r}")
+    return MooHvRecord(algorithm=algorithm, instance=instance, repetition=int(repetition), hv=value)
 
 
 def emit_runs(path, records) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUN_CSV_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.algorithm,
-                    r.function_code,
-                    r.dimension,
-                    r.instance_index,
-                    r.evaluations_used,
-                    int(r.success),
-                ]
-            )
+    _write_csv(
+        path,
+        RUN_CSV_HEADER,
+        (
+            [r.algorithm, r.function_code, r.dimension, r.instance_index, r.evaluations_used, int(r.success)]
+            for r in records
+        ),
+    )
 
 
 def ingest_runs(path) -> list[RunRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RUN_CSV_HEADER:
-            raise ParseError(f"{path}: expected header {RUN_CSV_HEADER}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                records.append(
-                    RunRecord(
-                        algorithm=row[0],
-                        function_code=row[1],
-                        dimension=int(row[2]),
-                        instance_index=int(row[3]),
-                        evaluations_used=int(row[4]),
-                        success=bool(int(row[5])),
-                    )
-                )
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed run record: {exc}") from exc
-    return records
+    return _read_csv(path, RUN_CSV_HEADER, _parse_run)
 
 
 def emit_moo_hv(path, records) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MOO_CSV_HEADER)
-        for r in records:
-            writer.writerow([r.algorithm, r.instance, r.repetition, repr(r.hv)])
+    _write_csv(path, MOO_CSV_HEADER, ([r.algorithm, r.instance, r.repetition, repr(r.hv)] for r in records))
 
 
 def ingest_moo_hv(path) -> list[MooHvRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MOO_CSV_HEADER:
-            raise ParseError(f"{path}: expected header {MOO_CSV_HEADER}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                records.append(
-                    MooHvRecord(
-                        algorithm=row[0],
-                        instance=row[1],
-                        repetition=int(row[2]),
-                        hv=float(row[3]),
-                    )
-                )
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed HV record: {exc}") from exc
-    return records
+    return _read_csv(path, MOO_CSV_HEADER, _parse_moo_hv)
 
 
 def emit_relert_table(path, table: RelErtTable) -> None:
     """relERT matrix as CSV: one row per (function, dimension), one column
     per portfolio algorithm."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["function", "dimension", *table.algorithms])
-        for f, d in table.configs:
-            writer.writerow([f, d, *(repr(table.relert[(f, d, a)]) for a in table.algorithms)])
+    _write_csv(
+        path,
+        ["function", "dimension", *table.algorithms],
+        ([f, d, *(repr(table.relert[(f, d, a)]) for a in table.algorithms)] for f, d in table.configs),
+    )

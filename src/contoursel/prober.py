@@ -10,8 +10,7 @@ sampled rectangular windows per repetition, once per objective.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +47,6 @@ class ScalarField:
     first-coordinate and b-th second-coordinate (both ascending)."""
 
     values: np.ndarray
-    raw_range: tuple[float, float]
 
     @property
     def resolution(self) -> int:
@@ -101,14 +99,6 @@ class ContourStack:
         """(k, r, r) float64 array of the stacked views."""
         return np.stack([v.values for v in self.views])
 
-    def metadata(self) -> dict:
-        return {
-            "views": len(self.views),
-            "resolution": self.resolution,
-            "source": self.source,
-            "evaluations_spent": self.evaluations_spent,
-        }
-
 
 def plan_slice(d: int, rng: np.random.Generator) -> SlicePlan:
     """Choose the 2-D cross-section: uniform over unordered coordinate pairs."""
@@ -124,6 +114,8 @@ def plan_slice(d: int, rng: np.random.Generator) -> SlicePlan:
 def _grid_points(inst: ProblemInstance, plan: SlicePlan, r: int, window: Window):
     """(r*r, d) evaluation points for the grid; row-major with the second
     slice coordinate as the slow (row) index."""
+    if r < 2:
+        raise ContractError("grid resolution must be at least 2")
     ax_a = np.linspace(window.lo[0], window.lo[0] + window.side[0], r)
     ax_b = np.linspace(window.lo[1], window.lo[1] + window.side[1], r)
     grid_b, grid_a = np.meshgrid(ax_b, ax_a, indexing="ij")
@@ -141,13 +133,11 @@ def probe_grid(
     counter: EvalCounter | None = None,
 ) -> ScalarField:
     """Evaluate a SOO instance on an endpoint-inclusive r x r grid."""
-    if r < 2:
-        raise ContractError("grid resolution must be at least 2")
     pts = _grid_points(inst, plan, r, window)
     values = evaluate_soo_batch(inst, pts).reshape(r, r)
     if counter is not None:
         counter.add(r * r)
-    return ScalarField(values=values, raw_range=(float(values.min()), float(values.max())))
+    return ScalarField(values=values)
 
 
 def probe_grid_moo(
@@ -157,20 +147,13 @@ def probe_grid_moo(
     counter: EvalCounter | None = None,
 ) -> tuple[ScalarField, ScalarField]:
     """Evaluate both objectives of a MOO instance over the same grid."""
-    if r < 2:
-        raise ContractError("grid resolution must be at least 2")
     plan = SlicePlan(axes=(0, 1))
     pts = _grid_points(inst, plan, r, window)
     pairs = evaluate_moo_batch(inst, pts)
     if counter is not None:
         counter.add(2 * r * r)  # one grid, two fields
-    fields = []
-    for k in range(2):
-        vals = pairs[:, k].reshape(r, r)
-        fields.append(
-            ScalarField(values=vals, raw_range=(float(vals.min()), float(vals.max())))
-        )
-    return fields[0], fields[1]
+    f1, f2 = pairs.T
+    return ScalarField(values=f1.reshape(r, r)), ScalarField(values=f2.reshape(r, r))
 
 
 def normalize(field: ScalarField) -> ScalarField:
@@ -184,7 +167,7 @@ def normalize(field: ScalarField) -> ScalarField:
         out = np.full_like(vals, 0.5)
     else:
         out = (vals - lo) / (hi - lo)
-    return ScalarField(values=out, raw_range=field.raw_range)
+    return ScalarField(values=out)
 
 
 def quantize_levels(field: ScalarField, levels: int) -> ScalarField:
@@ -199,7 +182,7 @@ def quantize_levels(field: ScalarField, levels: int) -> ScalarField:
         return field
     v = np.minimum(field.values, 1.0 - 1e-12)
     out = (np.floor(v * levels) + 0.5) / levels
-    return ScalarField(values=out, raw_range=field.raw_range)
+    return ScalarField(values=out)
 
 
 def resize_bilinear(field: ScalarField, r_out: int) -> ScalarField:
@@ -209,7 +192,7 @@ def resize_bilinear(field: ScalarField, r_out: int) -> ScalarField:
     vals = field.values
     r_in = vals.shape[0]
     if r_out == r_in:
-        return ScalarField(values=vals.copy(), raw_range=field.raw_range)
+        return ScalarField(values=vals.copy())
     u = np.arange(r_out) * (r_in - 1) / (r_out - 1)
     i0 = np.minimum(u.astype(int), r_in - 2)
     frac = u - i0
@@ -217,7 +200,7 @@ def resize_bilinear(field: ScalarField, r_out: int) -> ScalarField:
     rows = vals[i0][:, i1] * frac[None, :] + vals[i0][:, i0] * (1.0 - frac[None, :])
     rows1 = vals[i1][:, i1] * frac[None, :] + vals[i1][:, i0] * (1.0 - frac[None, :])
     out = rows * (1.0 - frac[:, None]) + rows1 * frac[:, None]
-    return ScalarField(values=out, raw_range=field.raw_range)
+    return ScalarField(values=out)
 
 
 def sample_window(
@@ -288,19 +271,20 @@ def build_moo_stacks(
     """
     if inst.id.kind != "moo":
         raise ContractError("build_moo_stacks needs a bi-objective instance")
-    counters = (EvalCounter(), EvalCounter())
+    counter = EvalCounter()
     views: tuple[list, list] = ([], [])
     source = []
     for _ in range(VIEWS_PER_STACK):
         window = sample_window(lam, rng)
-        f1, f2 = probe_grid_moo(inst, r_probe, window=window)
+        f1, f2 = probe_grid_moo(inst, r_probe, window=window, counter=counter)
         for k, raw in enumerate((f1, f2)):
-            counters[k].add(r_probe * r_probe)
             views[k].append(_finish_view(raw, levels, r_out))
         source.append({"window": window.to_json()})
+    # each objective stack books its half of the shared grids' evaluations
+    per_stack = counter.spent // 2
     return (
-        ContourStack(views=views[0], source=source, evaluations_spent=counters[0].spent),
-        ContourStack(views=views[1], source=source, evaluations_spent=counters[1].spent),
+        ContourStack(views=views[0], source=source, evaluations_spent=per_stack),
+        ContourStack(views=views[1], source=source, evaluations_spent=per_stack),
     )
 
 
@@ -318,13 +302,3 @@ def write_pgm(field: ScalarField, path) -> None:
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (w, h))
         fh.write(pixels.tobytes())
-
-
-def write_stack_sidecar(path, stack: ContourStack, extra: dict | None = None) -> None:
-    """JSON metadata sidecar for a saved stack."""
-    payload = stack.metadata()
-    if extra:
-        payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

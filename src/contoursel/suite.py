@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, InvalidProblemError
+from .perfdata import nondominated_2d
 
 DOMAIN_LO = -5.0
 DOMAIN_HI = 5.0
@@ -305,25 +306,8 @@ def pareto_front_points(inst: ProblemInstance, n: int = 2001) -> np.ndarray:
     else:
         f2 = 1.0 - np.sqrt(t) - t * np.sin(10.0 * np.pi * t)
         pts = np.stack([t, f2], axis=-1)
-        keep = _nondominated_mask(pts)
-        pts = pts[keep]
+        pts = pts[nondominated_2d(pts)]
     return pts
-
-
-def _nondominated_mask(points: np.ndarray) -> np.ndarray:
-    """Boolean mask of points not dominated by any other point (minimization)."""
-    n = len(points)
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not keep[i]:
-            continue
-        dominated = (
-            np.all(points <= points[i], axis=1)
-            & np.any(points < points[i], axis=1)
-        )
-        if np.any(dominated & keep):
-            keep[i] = False
-    return keep
 
 
 def true_group(function_code: str) -> int:

@@ -1,6 +1,13 @@
+import json
+import os
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import contoursel
 from contoursel.errors import ContractError, DataError, ParseError, TrainingError
 from contoursel.neural import (
     Dataset,
@@ -298,6 +305,39 @@ class TestTraining:
             train(Model(tiny_spec(), 0), ds,
                   TrainConfig(epochs=5, optimizer="sgd", learning_rate=1e100, seed=0))
 
+    def test_zero_batch_size_rejected(self):
+        with pytest.raises(ContractError, match="batch_size"):
+            TrainConfig(batch_size=0)
+
+    def test_fit_agrees_across_blas_thread_counts(self, tmp_path):
+        """Bit-exactness holds at a fixed BLAS thread count only; across
+        thread counts a fit agrees within the benchmark's tolerance for
+        BLAS-dependent outputs (rtol 1e-10, atol 1e-12)."""
+        script = (
+            "import sys, numpy as np\n"
+            "sys.path.insert(0, sys.argv[2])\n"
+            "from test_neural import tiny_dataset, tiny_spec\n"
+            "from contoursel.neural import Model, TrainConfig, train\n"
+            "model = Model(tiny_spec('separate'), seed=5)\n"
+            "train(model, tiny_dataset(n=6), TrainConfig(epochs=3, seed=2))\n"
+            "np.savez(sys.argv[1], *[p.value for p in model.params()])\n"
+        )
+        src = os.path.dirname(os.path.dirname(contoursel.__file__))
+        params = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"params{threads}.npz"
+            subprocess.run(
+                [sys.executable, "-c", script, str(out), os.path.dirname(__file__)],
+                env=env, check=True, timeout=120,
+            )
+            with np.load(out) as data:
+                params.append([data[k] for k in data.files])
+        assert len(params[0]) == len(params[1]) > 0
+        for a, b in zip(*params):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
     def test_sgd_optimizer_runs(self):
         ds = tiny_dataset(n=2)
         losses = train(Model(tiny_spec(), 0), ds,
@@ -356,4 +396,38 @@ class TestPersistence:
         data = path.read_text()
         path.write_text(data[: len(data) // 2])
         with pytest.raises(ParseError):
+            load_model(path)
+
+    def test_list_container_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(ParseError, match=re.escape(str(path))):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["spec", "params"])
+    def test_missing_container_key_rejected(self, tmp_path, key):
+        path = tmp_path / "model.json"
+        save_model(Model(tiny_spec(), seed=0), path)
+        payload = json.loads(path.read_text())
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=re.escape(str(path))):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["name", "shape", "data"])
+    def test_missing_entry_key_rejected(self, tmp_path, key):
+        path = tmp_path / "model.json"
+        save_model(Model(tiny_spec(), seed=0), path)
+        payload = json.loads(path.read_text())
+        del payload["params"][1][key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=re.escape(str(path))):
+            load_model(path)
+
+    def test_nonfinite_parameter_rejected(self, tmp_path):
+        model = Model(tiny_spec(), seed=0)
+        model.params()[0].value.flat[3] = np.nan
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        with pytest.raises(DataError, match="not finite"):
             load_model(path)

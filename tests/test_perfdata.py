@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from contoursel.errors import ContractError, DataError, ParseError
 from contoursel.perfdata import (
@@ -14,12 +16,14 @@ from contoursel.perfdata import (
     hypervolume_2d,
     ingest_moo_hv,
     ingest_runs,
+    nondominated_2d,
     reference_point,
     rel_hv,
     relert_matrix,
     sbs,
     vbs_mean,
 )
+from contoursel.suite import MOO_FUNCTIONS, ProblemId, make_instance, pareto_front_points
 
 
 def rec(alg, fn="sphere", d=2, idx=0, fe=100, success=True):
@@ -41,6 +45,20 @@ def grid_count_hv(points, ref, cells_per_axis=1000):
     for p in pts:
         dominated |= (c1[:, None] >= p[0]) & (c2[None, :] >= p[1])
     return dominated.sum() * step[0] * step[1]
+
+
+def nondominated_mask_oracle(points):
+    """Independent O(n^2) oracle: drop each point some kept point dominates.
+
+    Exact duplicates do not dominate each other, so all copies stay.
+    """
+    points = np.asarray(points, float).reshape(-1, 2)
+    keep = np.ones(len(points), dtype=bool)
+    for i in range(len(points)):
+        dominated = np.all(points <= points[i], axis=1) & np.any(points < points[i], axis=1)
+        if np.any(dominated & keep):
+            keep[i] = False
+    return keep
 
 
 class TestErt:
@@ -132,6 +150,11 @@ class TestRelErt:
         with pytest.raises(DataError):
             relert_matrix({("f", 2, "a"): None})
 
+    @pytest.mark.parametrize("bad", [0.0, -5.0, float("inf"), float("nan")])
+    def test_nonpositive_or_nonfinite_ert_rejected(self, bad):
+        with pytest.raises(DataError, match=r"\('f', 2, 'b'\)"):
+            relert_matrix({("f", 2, "a"): 10.0, ("f", 2, "b"): bad})
+
 
 class TestSbsVbs:
     def test_sbs_lowest_mean(self):
@@ -204,6 +227,35 @@ class TestHypervolume:
             exact = hypervolume_2d(pts, ref)
             approx = grid_count_hv(pts, ref)
             assert exact == pytest.approx(approx, rel=0.01)
+
+
+# coordinates on a coarse grid produce ties in either objective and exact
+# duplicates; free floats produce general position
+_coordinate = st.integers(0, 4).map(float) | st.floats(0.0, 1.0)
+
+
+class TestNondominated:
+    @given(st.lists(st.tuples(_coordinate, _coordinate), max_size=30))
+    def test_keeps_oracle_set_first_duplicate_only(self, points):
+        keep = nondominated_2d(points)
+        assert keep.shape == (len(points),)
+        kept = [points[i] for i in np.flatnonzero(keep)]
+        oracle = nondominated_mask_oracle(points)
+        assert set(kept) == {points[i] for i in np.flatnonzero(oracle)}
+        assert all(points.index(points[i]) == i for i in np.flatnonzero(keep))
+
+    @pytest.mark.parametrize("code", MOO_FUNCTIONS)
+    def test_pareto_front_points_match_oracle(self, code):
+        inst = make_instance(ProblemId(kind="moo", function_code=code, dimension=2, instance_index=0), 3)
+        front = pareto_front_points(inst, n=501)
+        assert np.all(nondominated_mask_oracle(front))
+        if code == "zdt3":
+            # the sampled curve minus what the oracle drops, in curve order
+            t = np.linspace(0.0, 1.0, 501)
+            curve = np.stack([t, 1.0 - np.sqrt(t) - t * np.sin(10.0 * np.pi * t)], axis=-1)
+            np.testing.assert_array_equal(front, curve[nondominated_mask_oracle(curve)])
+        else:
+            assert len(front) == 501
 
 
 class TestRelHv:
@@ -302,6 +354,18 @@ class TestCsv:
         with pytest.raises(ParseError, match=":3:"):
             ingest_runs(path)
 
+    @pytest.mark.parametrize("row", ["a,sphere,2,0,100,7", "a,sphere,2,0,0,1", "a,sphere,2,0,100"])
+    def test_runs_bad_field_names_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "algorithm,function,dimension,instance,evaluations,success\n"
+            "a,sphere,2,0,100,1\n"
+            "\n"
+            f"{row}\n"
+        )
+        with pytest.raises(ParseError, match=f"{path.name}:4:"):
+            ingest_runs(path)
+
     def test_empty_file_gives_empty_table(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("algorithm,function,dimension,instance,evaluations,success\n")
@@ -312,6 +376,13 @@ class TestCsv:
         path = tmp_path / "hv.csv"
         emit_moo_hv(path, records)
         assert ingest_moo_hv(path) == records
+
+    @pytest.mark.parametrize("hv", ["nan", "inf", "-inf"])
+    def test_moo_nonfinite_hv_names_line(self, tmp_path, hv):
+        path = tmp_path / "hv.csv"
+        path.write_text(f"algorithm,instance,repetition,hv\na,zdt1_0,0,0.5\na,zdt1_0,1,{hv}\n")
+        with pytest.raises(ParseError, match=f"{path.name}:3:"):
+            ingest_moo_hv(path)
 
     def test_relert_table_emission(self, tmp_path):
         t = relert_matrix({("f", 2, "a"): 10.0, ("f", 2, "b"): 25.0})

@@ -24,8 +24,7 @@ from contoursel.suite import ProblemId, make_instance
 
 
 def field(vals):
-    vals = np.asarray(vals, dtype=float)
-    return ScalarField(values=vals, raw_range=(float(vals.min()), float(vals.max())))
+    return ScalarField(values=np.asarray(vals, dtype=float))
 
 
 def sphere_instance(d=2, seed=0, idx=0):
