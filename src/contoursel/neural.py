@@ -173,7 +173,10 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Parameters, encoder, model
+# Parameters and layers.  A Layer binds its primitive pair when the model is
+# built, so the benchmark tracer, which replaces the primitives by name for
+# the span of a traced round, times the layers of models built inside that
+# round only.
 
 
 class Param:
@@ -185,16 +188,72 @@ class Param:
         self.grad = np.zeros_like(value)
 
 
+class Layer:
+    """forward(x, *param values) -> (y, cache); backward(g, cache) -> dx,
+    or (dx, *param grads) when the layer owns params."""
+
+    def __init__(self, forward, backward, params=()):
+        self._forward = forward
+        self._backward = backward
+        self.params = list(params)
+
+    def forward(self, x):
+        return self._forward(x, *(p.value for p in self.params))
+
+    def backward(self, g, cache):
+        """Add the weight gradients into the params; return dx."""
+        if not self.params:
+            return self._backward(g, cache)
+        dx, *grads = self._backward(g, cache)
+        for p, d in zip(self.params, grads):
+            p.grad += d
+        return dx
+
+
+class Sequential:
+    """A chain of layers: the encoder, a residual branch, the head."""
+
+    def __init__(self, layers):
+        self.layers = list(layers)
+        self.params = [p for layer in self.layers for p in layer.params]
+
+    def forward(self, x):
+        caches = []
+        for layer in self.layers:
+            x, cache = layer.forward(x)
+            caches.append(cache)
+        return x, caches
+
+    def backward(self, g, caches):
+        for layer, cache in zip(reversed(self.layers), reversed(caches)):
+            g = layer.backward(g, cache)
+        return g
+
+
+class Residual(Sequential):
+    """relu(branch(x) + x)."""
+
+    def forward(self, x):
+        h, caches = super().forward(x)
+        y, mask = relu_forward(h + x)
+        return y, (caches, mask)
+
+    def backward(self, g, cache):
+        caches, mask = cache
+        g_sum = relu_backward(g, mask)
+        return super().backward(g_sum, caches) + g_sum
+
+
 def _he_conv(rng, name, out_ch, in_ch):
     w = Param(name + ".w", rng.normal(0.0, np.sqrt(2.0 / (in_ch * 9)), (out_ch, in_ch, 3, 3)))
     b = Param(name + ".b", rng.uniform(-0.05, 0.05, out_ch))
-    return w, b
+    return Layer(conv2d_forward, conv2d_backward, (w, b))
 
 
 def _he_dense(rng, name, out_n, in_n):
     w = Param(name + ".w", rng.normal(0.0, np.sqrt(2.0 / in_n), (out_n, in_n)))
     b = Param(name + ".b", rng.uniform(-0.05, 0.05, out_n))
-    return w, b
+    return Layer(dense_forward, dense_backward, (w, b))
 
 
 @dataclass(frozen=True)
@@ -285,80 +344,32 @@ class TrainConfig:
             raise ContractError(f"unknown optimizer {self.optimizer!r}")
 
 
-class Encoder:
+def _encoder(spec: ModelSpec, rng) -> Sequential:
     """Conv blocks (conv-relu-maxpool) plus optional residual blocks, then
     global average pooling.  Output width is independent of the input
     resolution, so one head serves every probe/input resolution."""
+    layers = []
+    in_ch = spec.encoder_in_channels
+    for i, out_ch in enumerate(spec.encoder_channels):
+        layers += [_he_conv(rng, f"encoder.conv{i}", out_ch, in_ch), Layer(relu_forward, relu_backward),
+                   Layer(maxpool2x2_forward, maxpool2x2_backward)]
+        in_ch = out_ch
+    for i in range(spec.residual_blocks):
+        conv_a, conv_b = (_he_conv(rng, f"encoder.res{i}{ab}", in_ch, in_ch) for ab in "ab")
+        layers.append(Residual([conv_a, Layer(relu_forward, relu_backward), conv_b]))
+    layers.append(Layer(global_avg_pool_forward, global_avg_pool_backward))
+    return Sequential(layers)
 
-    def __init__(self, spec: ModelSpec, rng):
-        self.spec = spec
-        self.blocks = []
-        in_ch = spec.encoder_in_channels
-        for i, out_ch in enumerate(spec.encoder_channels):
-            self.blocks.append(_he_conv(rng, f"encoder.conv{i}", out_ch, in_ch))
-            in_ch = out_ch
-        self.res = []
-        for i in range(spec.residual_blocks):
-            pair_a = _he_conv(rng, f"encoder.res{i}a", in_ch, in_ch)
-            pair_b = _he_conv(rng, f"encoder.res{i}b", in_ch, in_ch)
-            self.res.append((pair_a, pair_b))
 
-    def params(self):
-        out = []
-        for w, b in self.blocks:
-            out.extend([w, b])
-        for (wa, ba), (wb, bb) in self.res:
-            out.extend([wa, ba, wb, bb])
-        return out
-
-    def forward(self, x):
-        caches = []
-        for w, b in self.blocks:
-            x, c_conv = conv2d_forward(x, w.value, b.value)
-            x, c_relu = relu_forward(x)
-            x, c_pool = maxpool2x2_forward(x)
-            caches.append(("block", c_conv, c_relu, c_pool))
-        for (wa, ba), (wb, bb) in self.res:
-            skip = x
-            h, c1 = conv2d_forward(x, wa.value, ba.value)
-            h, c2 = relu_forward(h)
-            h, c3 = conv2d_forward(h, wb.value, bb.value)
-            x, c4 = relu_forward(h + skip)
-            caches.append(("res", c1, c2, c3, c4))
-        z, c_gap = global_avg_pool_forward(x)
-        caches.append(("gap", c_gap))
-        return z, caches
-
-    def backward(self, gz, caches):
-        kind, c_gap = caches[-1][0], caches[-1][1]
-        assert kind == "gap"
-        g = global_avg_pool_backward(gz, c_gap)
-        i_res = len(self.res) - 1
-        i_block = len(self.blocks) - 1
-        for entry in reversed(caches[:-1]):
-            if entry[0] == "res":
-                _, c1, c2, c3, c4 = entry
-                (wa, ba), (wb, bb) = self.res[i_res]
-                g_sum = relu_backward(g, c4)
-                gh, dwb, dbb = conv2d_backward(g_sum, c3)
-                gh = relu_backward(gh, c2)
-                gx, dwa, dba = conv2d_backward(gh, c1)
-                g = gx + g_sum  # skip connection
-                wa.grad += dwa
-                ba.grad += dba
-                wb.grad += dwb
-                bb.grad += dbb
-                i_res -= 1
-            else:
-                _, c_conv, c_relu, c_pool = entry
-                w, b = self.blocks[i_block]
-                g = maxpool2x2_backward(g, c_pool)
-                g = relu_backward(g, c_relu)
-                g, dw, db = conv2d_backward(g, c_conv)
-                w.grad += dw
-                b.grad += db
-                i_block -= 1
-        return g
+def _head(spec: ModelSpec, rng) -> Sequential:
+    """Dense-relu layers, then a linear output layer."""
+    layers = []
+    in_n = spec.embedding_width + 1  # +1 for the dimension feature
+    for i, width in enumerate(spec.head_widths):
+        layers += [_he_dense(rng, f"head.dense{i}", width, in_n), Layer(relu_forward, relu_backward)]
+        in_n = width
+    layers.append(_he_dense(rng, "head.out", spec.output_count, in_n))
+    return Sequential(layers)
 
 
 class Model:
@@ -367,25 +378,17 @@ class Model:
     def __init__(self, spec: ModelSpec, seed: int):
         self.spec = spec
         rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0xC0DE]))
-        self.encoder = Encoder(spec, rng)
-        self.head = []
-        in_n = spec.embedding_width + 1  # +1 for the dimension feature
-        for i, width in enumerate(spec.head_widths):
-            self.head.append(_he_dense(rng, f"head.dense{i}", width, in_n))
-            in_n = width
-        self.head.append(_he_dense(rng, "head.out", spec.output_count, in_n))
+        self.encoder = _encoder(spec, rng)
+        self.head = _head(spec, rng)
 
     def params(self) -> list[Param]:
-        out = self.encoder.params()
-        for w, b in self.head:
-            out.extend([w, b])
-        return out
+        return self.encoder.params + self.head.params
 
     def zero_grads(self):
         for p in self.params():
             p.grad[...] = 0.0
 
-    def _encode(self, stacks):
+    def _encode(self, stacks, n):
         """Embed each stack; returns (z (N, embedding_width), caches).
 
         Stacks arrive view-first (n, k, r, r); spatial layers run
@@ -399,7 +402,8 @@ class Model:
                 raise ContractError(
                     f"expected stacks of shape (n, {self.spec.view_count}, r, r), got {x.shape}"
                 )
-            n = x.shape[0]
+            if x.shape[0] != n:
+                raise ContractError(f"stack holds {x.shape[0]} sample(s) but {n} dimension(s) were given")
             if self.spec.variant == "separate":
                 flat = x.reshape(n * self.spec.view_count, *x.shape[2:])[..., None]
                 z, cache = self.encoder.forward(flat)
@@ -407,7 +411,7 @@ class Model:
             else:
                 z, cache = self.encoder.forward(np.ascontiguousarray(x.transpose(0, 2, 3, 1)))
             zs.append(z)
-            caches.append((cache, x.shape))
+            caches.append(cache)
         return np.concatenate(zs, axis=1), caches
 
     def forward_batch(self, stacks, dims):
@@ -417,41 +421,20 @@ class Model:
             raise ContractError(
                 f"model expects {self.spec.stack_count} stack(s), got {len(stacks)}"
             )
-        z, enc_caches = self._encode(stacks)
         dims = np.asarray(dims, dtype=float).reshape(-1, 1)
-        h = np.concatenate([z, dims * DIMENSION_SCALE], axis=1)
-        head_caches = []
-        for i, (w, b) in enumerate(self.head):
-            h, c_dense = dense_forward(h, w.value, b.value)
-            if i < len(self.head) - 1:
-                h, c_relu = relu_forward(h)
-            else:
-                c_relu = None
-            head_caches.append((c_dense, c_relu))
+        z, enc_caches = self._encode(stacks, len(dims))
+        h, head_caches = self.head.forward(np.concatenate([z, dims * DIMENSION_SCALE], axis=1))
         return h, (enc_caches, head_caches, z.shape[1])
 
     def backward_batch(self, gpred, cache):
         """Accumulate parameter gradients; augments .grad on every Param."""
         enc_caches, head_caches, z_width = cache
-        g = gpred
-        for i in reversed(range(len(self.head))):
-            w, b = self.head[i]
-            c_dense, c_relu = head_caches[i]
-            if c_relu is not None:
-                g = relu_backward(g, c_relu)
-            g, dw, db = dense_backward(g, c_dense)
-            w.grad += dw
-            b.grad += db
+        g = self.head.backward(gpred, head_caches)
         gz = g[:, :z_width]  # dimension feature carries no parameters
-        offset = 0
-        per_stack = z_width // self.spec.stack_count
-        for cache_i, xshape in enc_caches:
-            g_stack = gz[:, offset : offset + per_stack]
-            offset += per_stack
+        for g_stack, enc_cache in zip(np.split(gz, self.spec.stack_count, axis=1), enc_caches):
             if self.spec.variant == "separate":
-                n = xshape[0]
-                g_stack = g_stack.reshape(n * self.spec.view_count, -1)
-            self.encoder.backward(g_stack, cache_i)
+                g_stack = g_stack.reshape(len(g_stack) * self.spec.view_count, -1)
+            self.encoder.backward(g_stack, enc_cache)
 
     def predict(self, stacks, dim) -> np.ndarray:
         """Single-sample convenience wrapper: stacks are (k, r, r) arrays."""
@@ -523,6 +506,11 @@ class Dataset:
     dims: np.ndarray  # (n,)
     targets: np.ndarray  # (n, m)
     tags: list = field(default_factory=list)  # opaque per-sample identifiers
+
+    def __post_init__(self):
+        lengths = [len(s) for s in self.stacks] + [len(self.targets)]
+        if any(m != len(self.dims) for m in lengths):
+            raise ContractError(f"{len(self.dims)} dims but stack and target lengths {lengths}")
 
     def __len__(self):
         return len(self.dims)

@@ -163,10 +163,14 @@ def normalize(field: ScalarField) -> ScalarField:
         raise DataError("cannot normalize a field with NaN or inf values")
     lo = vals.min()
     hi = vals.max()
+    with np.errstate(over="ignore"):
+        span = hi - lo
     if hi == lo:
         out = np.full_like(vals, 0.5)
-    else:
-        out = (vals - lo) / (hi - lo)
+    elif np.isfinite(span):
+        out = (vals - lo) / span
+    else:  # the range overflows float64; halving every term keeps it finite
+        out = (vals * 0.5 - lo * 0.5) / (hi * 0.5 - lo * 0.5)
     return ScalarField(values=out)
 
 
@@ -178,9 +182,12 @@ def quantize_levels(field: ScalarField, levels: int) -> ScalarField:
     """
     if levels < 0:
         raise ContractError("levels must be >= 0")
+    vals = field.values
+    if not (vals.min() >= 0.0 and vals.max() <= 1.0):
+        raise ContractError("quantize_levels expects a field normalized to [0, 1]")
     if levels == 0:
         return field
-    v = np.minimum(field.values, 1.0 - 1e-12)
+    v = np.minimum(vals, 1.0 - 1e-12)
     out = (np.floor(v * levels) + 0.5) / levels
     return ScalarField(values=out)
 

@@ -168,21 +168,20 @@ class TestSmallLayers:
 class TestModelShapes:
     def test_combined_uses_five_input_channels(self):
         spec = ModelSpec(variant="combined", input_resolution=16, output_count=3)
-        model = Model(spec, seed=0)
-        first_conv = model.encoder.blocks[0][0]
-        assert first_conv.value.shape == (16, 5, 3, 3)
+        params = {p.name: p for p in Model(spec, seed=0).params()}
+        assert params["encoder.conv0.w"].value.shape == (16, 5, 3, 3)
 
     def test_separate_head_width(self):
         spec = ModelSpec(variant="separate", input_resolution=16, output_count=3)
-        model = Model(spec, seed=0)
+        params = {p.name: p for p in Model(spec, seed=0).params()}
         # 5 views x 64 embedding dims + 1 dimension feature
-        assert model.head[0][0].value.shape[1] == 5 * 64 + 1
+        assert params["head.dense0.w"].value.shape[1] == 5 * 64 + 1
 
     def test_separate_encoder_params_independent_of_view_count(self):
         base = ModelSpec(variant="separate", input_resolution=16, output_count=3, view_count=5)
         more = ModelSpec(variant="separate", input_resolution=16, output_count=3, view_count=7)
-        n_base = sum(p.value.size for p in Model(base, 0).encoder.params())
-        n_more = sum(p.value.size for p in Model(more, 0).encoder.params())
+        n_base = sum(p.value.size for p in Model(base, 0).encoder.params)
+        n_more = sum(p.value.size for p in Model(more, 0).encoder.params)
         assert n_base == n_more
 
     def test_head_is_resolution_independent(self):
@@ -216,6 +215,36 @@ class TestModelShapes:
         model = Model(spec, seed=0)
         with pytest.raises(ContractError):
             model.forward_batch([np.zeros((1, 5, 8, 8)), np.zeros((1, 5, 8, 8))], np.array([2.0]))
+
+    def test_batch_size_mismatch_rejected(self):
+        spec = ModelSpec(variant="separate", input_resolution=8, output_count=2,
+                         stack_count=2, encoder_channels=(2, 3))
+        model = Model(spec, seed=0)
+        two, three = np.zeros((2, 5, 8, 8)), np.zeros((3, 5, 8, 8))
+        with pytest.raises(ContractError, match="dimension"):
+            model.forward_batch([two, two], np.array([2.0, 3.0, 4.0]))
+        with pytest.raises(ContractError, match="dimension"):
+            model.forward_batch([two, three], np.array([2.0, 3.0]))
+
+    def test_parameter_names_and_shapes_are_the_persistence_contract(self):
+        spec = ModelSpec(variant="separate", input_resolution=8, output_count=3,
+                         stack_count=2, encoder_channels=(2, 3), residual_blocks=1,
+                         head_widths=(4,))
+        # 2 stacks x 5 views x 3 embedding dims + 1 dimension feature
+        assert [(p.name, p.value.shape) for p in Model(spec, seed=0).params()] == [
+            ("encoder.conv0.w", (2, 1, 3, 3)),
+            ("encoder.conv0.b", (2,)),
+            ("encoder.conv1.w", (3, 2, 3, 3)),
+            ("encoder.conv1.b", (3,)),
+            ("encoder.res0a.w", (3, 3, 3, 3)),
+            ("encoder.res0a.b", (3,)),
+            ("encoder.res0b.w", (3, 3, 3, 3)),
+            ("encoder.res0b.b", (3,)),
+            ("head.dense0.w", (4, 31)),
+            ("head.dense0.b", (4,)),
+            ("head.out.w", (3, 4)),
+            ("head.out.b", (3,)),
+        ]
 
     def test_resolution_too_small_for_pools(self):
         with pytest.raises(ContractError):
@@ -343,6 +372,18 @@ class TestTraining:
         losses = train(Model(tiny_spec(), 0), ds,
                        TrainConfig(epochs=3, optimizer="sgd", learning_rate=1e-3, seed=0))
         assert len(losses) == 3
+
+    def test_dataset_with_fewer_dims_than_samples_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ContractError, match="2 dims"):
+            Dataset(stacks=[rng.random((3, 5, 8, 8))], dims=np.array([2.0, 3.0]),
+                    targets=rng.normal(size=(3, 2)))
+
+    def test_dataset_with_fewer_stacks_than_dims_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ContractError, match="3 dims"):
+            Dataset(stacks=[rng.random((2, 5, 8, 8))], dims=np.array([2.0, 3.0, 5.0]),
+                    targets=rng.normal(size=(3, 2)))
 
     def test_dataset_subset_keeps_tags(self):
         ds = tiny_dataset(n=4)

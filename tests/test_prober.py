@@ -124,6 +124,12 @@ class TestNormalize:
         twice = normalize(once)
         np.testing.assert_array_equal(once.values, twice.values)
 
+    def test_overflowing_range_stays_finite(self):
+        f = normalize(field([[-1e308, 0.0], [1.0, 1e308]]))
+        assert np.all(np.isfinite(f.values))
+        assert f.values.min() == 0.0 and f.values.max() == 1.0
+        np.testing.assert_allclose(f.values, [[0.0, 0.5], [0.5, 1.0]])
+
     def test_nonfinite_rejected(self):
         with pytest.raises(DataError):
             normalize(field([[0.0, np.nan], [1.0, 2.0]]))
@@ -140,6 +146,11 @@ class TestQuantize:
         raw = field([[0.12, 0.98]])
         f = quantize_levels(raw, 0)
         np.testing.assert_array_equal(f.values, raw.values)
+
+    def test_values_outside_unit_interval_rejected(self):
+        for vals in ([[5.0, 0.5]], [[-3.0, 0.5]], [[np.nan, 0.5]]):
+            with pytest.raises(ContractError, match="normalized"):
+                quantize_levels(field(vals), 4)
 
     def test_top_value_clamps_into_last_band(self):
         f = quantize_levels(field([[1.0, 0.0]]), 4)
