@@ -2,9 +2,12 @@
 
 All tensors are float64 numpy arrays.  Models consume view-first stacks of
 shape (views, r, r); inside the spatial layers a channel-last layout is
-used so that the fixed 3x3 / stride 1 / zero pad 1 convolutions lower to a
-single matrix product over a patch matrix assembled from contiguous
-slices.  That keeps full-precision CPU training fast enough for the
+used.  The fixed 3x3 / stride 1 / zero pad 1 convolution lowers each chunk
+of samples to a patch matrix (im2col: one row of 9*C taps per output
+pixel) and multiplies it by the (9*C, O) kernel matrix, so the work is a
+few large matrix products.  The chunks keep each patch matrix within
+PATCH_MATRIX_BYTES, so lowering never holds a nine-fold copy of a whole
+batch.  That keeps full-precision CPU training fast enough for the
 experiment harness without any framework dependency.
 
 Two model variants exist: "combined" consumes the five views of a stack as
@@ -16,8 +19,10 @@ two stacks and concatenates their embeddings before the regression head.
 from __future__ import annotations
 
 import base64
+import functools
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,70 +36,86 @@ DIMENSION_SCALE = 0.1  # dimension feature is fed to the head as d/10
 # ---------------------------------------------------------------------------
 # Layer primitives (functional: forward returns a cache consumed by backward).
 #
-# Spatial tensors use channel-last (N, H, W, C) layout internally: the im2col
-# matrix then assembles from nine contiguous slice copies and every reshape
+# Spatial tensors use channel-last (N, H, W, C) layout internally: a patch
+# matrix row is then nine runs of C contiguous values, and every reshape
 # around the matrix products is free.  Convolution weights keep the
 # conventional (C_out, C_in, 3, 3) shape at the API surface.
 
 
-def _kernel_as_taps(w: np.ndarray) -> np.ndarray:
-    """(O, C, 3, 3) -> (9, C, O): one input-to-output matrix per kernel tap."""
+# Each chunk of samples gets its own patch matrix of at most this many bytes.
+# Lowering a whole batch at once would hold a nine-fold copy of a layer's
+# input next to the activations, and raise the peak memory of training.
+PATCH_MATRIX_BYTES = 8 * 2**20
+
+
+def _pad(x: np.ndarray) -> np.ndarray:
+    return np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+
+
+def _kernel_matrix(w: np.ndarray) -> np.ndarray:
+    """(O, C, 3, 3) -> contiguous (9*C, O), rows ordered tap row, tap column,
+    channel like the columns of the patch matrix."""
     o, c = w.shape[:2]
-    return np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(9, c, o)
+    return np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(9 * c, o)
 
 
-def _tap_offsets(row_stride: int):
-    return [u * row_stride + v for u in (-1, 0, 1) for v in (-1, 0, 1)]
+def _chunks(xp: np.ndarray):
+    """Sample slices of a padded input whose patch matrices stay within
+    PATCH_MATRIX_BYTES."""
+    n, hp, wp, c = xp.shape
+    step = max(1, PATCH_MATRIX_BYTES // ((hp - 2) * (wp - 2) * 9 * c * xp.itemsize))
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
+def _patch_matrix(xp: np.ndarray) -> np.ndarray:
+    """Padded (n, H+2, W+2, C) -> (n*H*W, 9*C): one row per output pixel."""
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, 9 * xp.shape[3])
+
+
+def _correlate(xp: np.ndarray, wmat: np.ndarray) -> np.ndarray:
+    """(n, H, W, O) = patch_matrix(xp) @ wmat, one matrix product per chunk."""
+    n, hp, wp, _ = xp.shape
+    o = wmat.shape[1]
+    y = np.empty((n, hp - 2, wp - 2, o))
+    for chunk in _chunks(xp):
+        np.matmul(_patch_matrix(xp[chunk]), wmat, out=y[chunk].reshape(-1, o))
+    return y
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """3x3 / stride 1 / zero-pad 1 convolution; x (N,H,W,C), w (O,C,3,3).
 
-    The padded input is treated as one (rows, C) matrix and the convolution
-    becomes nine shifted matrix products: a row shift of +-(W+2)+-1 lands in
-    a zero padding ring, never in a neighboring sample's interior, so no
-    patch matrix has to be materialized.
+    The input is padded once; each chunk of samples is lowered to its patch
+    matrix (im2col) and multiplied by the (9*C, O) kernel matrix straight
+    into the output.  The cache keeps the padded input, not the patches.
     """
     if x.shape[3] != w.shape[1]:
         raise ContractError(f"channel mismatch: input {x.shape[3]}, weights {w.shape[1]}")
-    n, h, wd, c = x.shape
-    o = w.shape[0]
-    rows = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0))).reshape(-1, c)
-    taps = _kernel_as_taps(w)
-    r = rows.shape[0]
-    y_full = np.zeros((r, o))
-    for tap, off in zip(taps, _tap_offsets(wd + 2)):
-        if off >= 0:
-            y_full[: r - off] += rows[off:] @ tap
-        else:
-            y_full[-off:] += rows[:r + off] @ tap
-    y = np.ascontiguousarray(y_full.reshape(n, h + 2, wd + 2, o)[:, 1:-1, 1:-1, :])
+    xp = _pad(x)
+    y = _correlate(xp, _kernel_matrix(w))
     y += b
-    return y, (rows, x.shape, w)
+    return y, (xp, x.shape, w)
 
 
-def conv2d_backward(g: np.ndarray, cache):
-    """Gradients w.r.t. input, weights, bias for conv2d_forward."""
-    rows, xshape, w = cache
-    n, h, wd, c = xshape
+def conv2d_backward(g: np.ndarray, cache, *, need_dx: bool = True):
+    """Gradients (dx, dw, db) for conv2d_forward.
+
+    dw sums g^T @ patches over the same chunks as the forward pass.  dx is
+    the same chunked product applied to the padded g with the kernel turned
+    by 180 degrees and its channel axes swapped, which is the adjoint of the
+    forward convolution.  need_dx=False returns dx as None and skips its
+    cost: the encoder's first layer sees the data, whose gradient no one
+    uses.
+    """
+    xp, xshape, w = cache
     o = w.shape[0]
-    r = rows.shape[0]
-    g_full = np.zeros((n, h + 2, wd + 2, o))
-    g_full[:, 1:-1, 1:-1, :] = g
-    gmat = g_full.reshape(r, o)
-    taps = _kernel_as_taps(w)
-    dtaps = np.empty((9, c, o))
-    dx_full = np.zeros((r, c))
-    for k, off in enumerate(_tap_offsets(wd + 2)):
-        if off >= 0:
-            dtaps[k] = rows[off:].T @ gmat[: r - off]
-            dx_full[off:] += gmat[: r - off] @ taps[k].T
-        else:
-            dtaps[k] = rows[:r + off].T @ gmat[-off:]
-            dx_full[:r + off] += gmat[-off:] @ taps[k].T
-    db = gmat.sum(axis=0)
-    dw = dtaps.reshape(3, 3, c, o).transpose(3, 2, 0, 1)
-    dx = np.ascontiguousarray(dx_full.reshape(n, h + 2, wd + 2, c)[:, 1:-1, 1:-1, :])
+    dwmat = np.zeros((o, 9 * xshape[3]))
+    for chunk in _chunks(xp):
+        dwmat += g[chunk].reshape(-1, o).T @ _patch_matrix(xp[chunk])
+    dw = dwmat.reshape(o, 3, 3, xshape[3]).transpose(0, 3, 1, 2)
+    db = g.reshape(-1, o).sum(axis=0)
+    dx = _correlate(_pad(g), _kernel_matrix(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))) if need_dx else None
     return dx, dw, db
 
 
@@ -244,16 +265,20 @@ class Residual(Sequential):
         return super().backward(g_sum, caches) + g_sum
 
 
-def _he_conv(rng, name, out_ch, in_ch):
+def _he_conv(rng, name, out_ch, in_ch, need_dx=True):
     w = Param(name + ".w", rng.normal(0.0, np.sqrt(2.0 / (in_ch * 9)), (out_ch, in_ch, 3, 3)))
     b = Param(name + ".b", rng.uniform(-0.05, 0.05, out_ch))
-    return Layer(conv2d_forward, conv2d_backward, (w, b))
+    return Layer(conv2d_forward, functools.partial(conv2d_backward, need_dx=need_dx), (w, b))
 
 
 def _he_dense(rng, name, out_n, in_n):
     w = Param(name + ".w", rng.normal(0.0, np.sqrt(2.0 / in_n), (out_n, in_n)))
     b = Param(name + ".b", rng.uniform(-0.05, 0.05, out_n))
     return Layer(dense_forward, dense_backward, (w, b))
+
+
+def _is_count(value, minimum: int) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
 
 
 @dataclass(frozen=True)
@@ -271,6 +296,17 @@ class ModelSpec:
     target_transform: str = "log10_relert"
 
     def __post_init__(self):
+        for name, minimum in (("input_resolution", 1), ("output_count", 1), ("view_count", 1),
+                              ("stack_count", 1), ("residual_blocks", 0)):
+            value = getattr(self, name)
+            if not _is_count(value, minimum):
+                raise ContractError(f"{name} must be an integer >= {minimum}, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("encoder_channels", "head_widths"):
+            widths = getattr(self, name)
+            if not isinstance(widths, (tuple, list)) or not all(_is_count(v, 1) for v in widths):
+                raise ContractError(f"{name} must be a sequence of integers >= 1, got {widths!r}")
+            object.__setattr__(self, name, tuple(int(v) for v in widths))
         if self.variant not in ("combined", "separate"):
             raise ContractError(f"unknown variant {self.variant!r}")
         if self.target_transform not in ("log10_relert", "relhv_clip"):
@@ -282,8 +318,6 @@ class ModelSpec:
             )
         if self.stack_count not in (1, 2):
             raise ContractError("stack_count must be 1 or 2")
-        object.__setattr__(self, "encoder_channels", tuple(self.encoder_channels))
-        object.__setattr__(self, "head_widths", tuple(self.head_widths))
 
     @property
     def encoder_in_channels(self) -> int:
@@ -311,17 +345,11 @@ class ModelSpec:
 
     @staticmethod
     def from_json(data: dict) -> "ModelSpec":
-        return ModelSpec(
-            variant=data["variant"],
-            input_resolution=int(data["input_resolution"]),
-            output_count=int(data["output_count"]),
-            view_count=int(data["view_count"]),
-            stack_count=int(data["stack_count"]),
-            encoder_channels=tuple(data["encoder_channels"]),
-            residual_blocks=int(data["residual_blocks"]),
-            head_widths=tuple(data["head_widths"]),
-            target_transform=data["target_transform"],
-        )
+        """Inverse of to_json; KeyError for a missing key, ContractError for
+        anything else that is not a valid spec."""
+        if not isinstance(data, dict):
+            raise ContractError(f"a model spec is a JSON object, not {type(data).__name__}")
+        return ModelSpec(**{f.name: data[f.name] for f in fields(ModelSpec)})
 
 
 @dataclass(frozen=True)
@@ -351,7 +379,9 @@ def _encoder(spec: ModelSpec, rng) -> Sequential:
     layers = []
     in_ch = spec.encoder_in_channels
     for i, out_ch in enumerate(spec.encoder_channels):
-        layers += [_he_conv(rng, f"encoder.conv{i}", out_ch, in_ch), Layer(relu_forward, relu_backward),
+        # the first layer's input is the data: its gradient is never used
+        layers += [_he_conv(rng, f"encoder.conv{i}", out_ch, in_ch, need_dx=i > 0),
+                   Layer(relu_forward, relu_backward),
                    Layer(maxpool2x2_forward, maxpool2x2_backward)]
         in_ch = out_ch
     for i in range(spec.residual_blocks):
@@ -404,6 +434,8 @@ class Model:
                 )
             if x.shape[0] != n:
                 raise ContractError(f"stack holds {x.shape[0]} sample(s) but {n} dimension(s) were given")
+            if not np.all(np.isfinite(x)):
+                raise DataError("stacks must be finite")
             if self.spec.variant == "separate":
                 flat = x.reshape(n * self.spec.view_count, *x.shape[2:])[..., None]
                 z, cache = self.encoder.forward(flat)
@@ -422,6 +454,8 @@ class Model:
                 f"model expects {self.spec.stack_count} stack(s), got {len(stacks)}"
             )
         dims = np.asarray(dims, dtype=float).reshape(-1, 1)
+        if not np.all(np.isfinite(dims)):
+            raise DataError("problem dimensions must be finite")
         z, enc_caches = self._encode(stacks, len(dims))
         h, head_caches = self.head.forward(np.concatenate([z, dims * DIMENSION_SCALE], axis=1))
         return h, (enc_caches, head_caches, z.shape[1])
@@ -489,11 +523,15 @@ def transform_targets(kind: str, values: np.ndarray, clip_max: float | None = No
     """Map raw metric values into the model's regression space."""
     values = np.asarray(values, dtype=float)
     if kind == "log10_relert":
+        if not np.all(values > 0):
+            raise DataError("relERT values must be positive")
         out = np.log10(values)
         if clip_max is not None:
             out = np.minimum(out, np.log10(clip_max))
         return out
     if kind == "relhv_clip":
+        if np.any(np.isnan(values)):
+            raise DataError("relHV values must not be NaN")
         return np.clip(values, -2.0, 2.0)
     raise ContractError(f"unknown target transform {kind!r}")
 
@@ -651,7 +689,7 @@ def load_model(path, expect_spec: ModelSpec | None = None) -> Model:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: not a valid model container: {exc}") from exc
     if (
         not isinstance(payload, dict)
@@ -664,6 +702,10 @@ def load_model(path, expect_spec: ModelSpec | None = None) -> Model:
         stored = payload["params"]
     except KeyError as exc:
         raise ParseError(f"{path}: model container lacks key {exc}") from exc
+    except ContractError as exc:
+        raise ParseError(f"{path}: invalid model spec: {exc}") from exc
+    if not isinstance(stored, list):
+        raise ParseError(f"{path}: params must be a list, not {type(stored).__name__}")
     if expect_spec is not None and spec != expect_spec:
         raise DataError(f"{path}: model spec does not match the expected spec")
     model = Model(spec, seed=0)
@@ -671,13 +713,20 @@ def load_model(path, expect_spec: ModelSpec | None = None) -> Model:
     if len(stored) != len(params):
         raise DataError(f"{path}: parameter count mismatch")
     for p, entry in zip(params, stored):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: a parameter entry is a {type(entry).__name__}, not an object")
         try:
             name, shape, data = entry["name"], entry["shape"], entry["data"]
         except KeyError as exc:
             raise ParseError(f"{path}: parameter entry lacks key {exc}") from exc
+        if not isinstance(shape, list):
+            raise ParseError(f"{path}: parameter {name} has shape {shape!r}, not a list")
         if name != p.name or tuple(shape) != p.value.shape:
             raise DataError(f"{path}: parameter {name} does not fit the spec")
-        arr = np.frombuffer(base64.b64decode(data), dtype="<f8")
+        try:
+            arr = np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8")
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: parameter {name} payload is not base64 float64: {exc}") from exc
         if arr.size != p.value.size:
             raise DataError(f"{path}: parameter {name} has wrong payload size")
         if not np.all(np.isfinite(arr)):

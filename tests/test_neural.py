@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import re
@@ -6,9 +7,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import contoursel
-from contoursel.errors import ContractError, DataError, ParseError, TrainingError
+from contoursel import neural
+from contoursel.errors import ContourselError, ContractError, DataError, ParseError, TrainingError
 from contoursel.neural import (
     Dataset,
     Model,
@@ -119,6 +123,40 @@ class TestConv:
             wm[idx] -= h
             fd = (np.sum(conv2d_forward(x, wp, b)[0] * g) - np.sum(conv2d_forward(x, wm, b)[0] * g)) / (2 * h)
             assert dw[idx] == pytest.approx(fd, rel=1e-5)
+
+    @given(
+        n=st.integers(1, 7), h=st.integers(1, 6), wd=st.integers(1, 6), c=st.integers(1, 5),
+        o=st.integers(1, 4), per_chunk=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chunked_patch_matrix_against_oracles(self, n, h, wd, c, o, per_chunk, seed):
+        """Forward against the loop reference; dx by the adjoint identity
+        <conv(x), g> = <x, dx>; dw by central differences; with chunks of
+        per_chunk samples, so most batches span several chunks and a
+        remainder."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, h, wd, c))
+        w = rng.normal(size=(o, c, 3, 3))
+        b = rng.normal(size=o)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neural, "PATCH_MATRIX_BYTES", per_chunk * h * wd * 9 * c * 8)
+            y, cache = conv2d_forward(x, w, b)
+            np.testing.assert_allclose(y, conv2d_reference(x, w, b), rtol=1e-12, atol=1e-12)
+            g = rng.normal(size=y.shape)
+            dx, dw, db = conv2d_backward(g, cache)
+            y0 = y - b
+            assert np.sum(y0 * g) == pytest.approx(np.sum(x * dx), rel=1e-12, abs=1e-12 * np.sum(np.abs(y0 * g)))
+            # linear in w: a central difference is exact up to rounding at any step
+            idx = tuple(int(rng.integers(s)) for s in w.shape)
+            wp, wm = w.copy(), w.copy()
+            wp[idx] += 1.0
+            wm[idx] -= 1.0
+            fd = (np.sum(conv2d_forward(x, wp, b)[0] * g) - np.sum(conv2d_forward(x, wm, b)[0] * g)) / 2.0
+            assert dw[idx] == pytest.approx(fd, rel=1e-10, abs=1e-10 * np.sum(np.abs(y0 * g)))
+            np.testing.assert_allclose(db, g.sum(axis=(0, 1, 2)), rtol=1e-12)
+            no_dx = conv2d_backward(g, cache, need_dx=False)
+        assert no_dx[0] is None
+        np.testing.assert_array_equal(no_dx[1], dw)
+        np.testing.assert_array_equal(no_dx[2], db)
 
 
 class TestSmallLayers:
@@ -249,6 +287,22 @@ class TestModelShapes:
     def test_resolution_too_small_for_pools(self):
         with pytest.raises(ContractError):
             ModelSpec(variant="combined", input_resolution=4, output_count=2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("output_count", 0), ("view_count", 2.0), ("input_resolution", "64"), ("residual_blocks", -1),
+        ("stack_count", True), ("encoder_channels", (4, 0)), ("head_widths", 5),
+    ])
+    def test_malformed_spec_field_rejected(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            ModelSpec(**{"variant": "combined", "input_resolution": 16, "output_count": 2, field: value})
+
+    @pytest.mark.parametrize("where", ["stack", "dims"])
+    def test_nonfinite_input_rejected(self, where):
+        model = Model(tiny_spec(), seed=0)
+        stack, dims = np.zeros((2, 5, 8, 8)), np.array([2.0, 3.0])
+        (stack if where == "stack" else dims)[1, ...] = np.nan
+        with pytest.raises(DataError, match="finite"):
+            model.forward_batch([stack], dims)
 
 
 class TestGradCheck:
@@ -401,6 +455,13 @@ class TestTransforms:
         out = transform_targets("relhv_clip", [-10.0, 0.5, 10.0])
         np.testing.assert_allclose(out, [-2.0, 0.5, 2.0])
 
+    @pytest.mark.parametrize("kind, value", [
+        ("log10_relert", 0.0), ("log10_relert", -1.0), ("log10_relert", np.nan), ("relhv_clip", np.nan),
+    ])
+    def test_invalid_value_rejected(self, kind, value):
+        with pytest.raises(DataError):
+            transform_targets(kind, [1.0, value])
+
     def test_argmin_preserved_by_log(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -472,3 +533,60 @@ class TestPersistence:
         save_model(model, path)
         with pytest.raises(DataError, match="not finite"):
             load_model(path)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda c: c.update(spec=5),
+        lambda c: c["spec"].update(input_resolution="sixty-four"),
+        lambda c: c.update(params=7),
+        lambda c: c["params"].__setitem__(1, ["encoder.conv0.b", [2]]),
+        lambda c: c["params"][1].update(shape=None),
+    ], ids=["spec-not-object", "resolution-not-integer", "params-not-list", "entry-not-object", "shape-null"])
+    def test_malformed_container_rejected(self, tmp_path, mutate):
+        path = tmp_path / "model.json"
+        save_model(Model(tiny_spec(), seed=0), path)
+        payload = json.loads(path.read_text())
+        mutate(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=re.escape(str(path))):
+            load_model(path)
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.floats(), st.text(max_size=6),
+    st.lists(st.integers(-2, 4), max_size=4), st.dictionaries(st.text(max_size=4), st.integers(0, 4), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def saved_container(tmp_path_factory):
+    path = tmp_path_factory.mktemp("container") / "model.json"
+    save_model(Model(tiny_spec("separate", stack_count=2), seed=0), path)
+    return json.loads(path.read_text())
+
+
+@given(data=st.data())
+def test_mutated_container_raises_only_toolkit_errors(saved_container, tmp_path_factory, data):
+    """Drop, retype or corrupt one key or entry of a saved model: load_model
+    either loads it or raises a ContourselError, never a bare exception."""
+    payload = copy.deepcopy(saved_container)
+    slots = [(payload, k) for k in payload] + [(payload["spec"], k) for k in payload["spec"]]
+    slots += [(payload["params"], i) for i in range(len(payload["params"]))]
+    slots += [(entry, k) for entry in payload["params"] for k in entry]
+    container, key = data.draw(st.sampled_from(slots))
+    value = container[key]
+    action = data.draw(st.sampled_from(["drop", "retype", "corrupt"]))
+    if action == "drop":
+        del container[key]
+    elif action == "retype" or isinstance(value, (dict, bool)) or value is None:
+        container[key] = data.draw(_JUNK)
+    elif isinstance(value, (str, list)):
+        cut = data.draw(st.integers(0, len(value)))
+        container[key] = value[:cut] + value[cut + 1:] if data.draw(st.booleans()) else value[:cut] + value[:1]
+    else:
+        container[key] = value + data.draw(st.integers(-40, 3))
+    path = tmp_path_factory.mktemp("mutated") / "model.json"
+    path.write_text(json.dumps(payload))
+    try:
+        load_model(path)
+    except ContourselError:
+        pass
