@@ -1,8 +1,10 @@
-"""Exception types shared across the toolkit.
+"""Exception types and integer checks shared across the toolkit.
 
 Library code raises the most specific class that applies instead of a bare
 ValueError, so callers can tell bad input from bad data and from divergence.
 """
+
+import numbers
 
 
 class ContourselError(Exception):
@@ -27,3 +29,19 @@ class ParseError(DataError):
 
 class TrainingError(ContourselError):
     """Training produced a non-finite loss or otherwise diverged."""
+
+
+def is_integer(value, minimum: int | None = None) -> bool:
+    """True for a Python or numpy integer, not a bool, that is at least
+    minimum when one is given."""
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and (minimum is None or value >= minimum)
+    )
+
+
+def require_integer(name: str, value, minimum: int) -> None:
+    """Raise ContractError unless value is an integer of at least minimum."""
+    if not is_integer(value, minimum):
+        raise ContractError(f"{name} must be an integer >= {minimum}, got {value!r}")

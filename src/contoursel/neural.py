@@ -21,12 +21,13 @@ from __future__ import annotations
 import base64
 import functools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ContractError, DataError, ParseError, TrainingError
+from .errors import ContractError, DataError, ParseError, TrainingError, is_integer, require_integer
 
 MODEL_FORMAT = "contoursel.model"
 MODEL_FORMAT_VERSION = 1
@@ -277,10 +278,6 @@ def _he_dense(rng, name, out_n, in_n):
     return Layer(dense_forward, dense_backward, (w, b))
 
 
-def _is_count(value, minimum: int) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture descriptor; shapes derive from it deterministically."""
@@ -299,12 +296,11 @@ class ModelSpec:
         for name, minimum in (("input_resolution", 1), ("output_count", 1), ("view_count", 1),
                               ("stack_count", 1), ("residual_blocks", 0)):
             value = getattr(self, name)
-            if not _is_count(value, minimum):
-                raise ContractError(f"{name} must be an integer >= {minimum}, got {value!r}")
+            require_integer(name, value, minimum)
             object.__setattr__(self, name, int(value))
         for name in ("encoder_channels", "head_widths"):
             widths = getattr(self, name)
-            if not isinstance(widths, (tuple, list)) or not all(_is_count(v, 1) for v in widths):
+            if not isinstance(widths, (tuple, list)) or not all(is_integer(v, 1) for v in widths):
                 raise ContractError(f"{name} must be a sequence of integers >= 1, got {widths!r}")
             object.__setattr__(self, name, tuple(int(v) for v in widths))
         if self.variant not in ("combined", "separate"):
@@ -362,27 +358,32 @@ class TrainConfig:
     augment: bool = True  # per-sample view-order shuffling each epoch
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ContractError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ContractError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be >= 1")
+        lr = self.learning_rate
+        if not (isinstance(lr, numbers.Real) and 0 < lr < math.inf):
+            raise ContractError(f"learning_rate must be finite and positive, got {lr!r}")
+        require_integer("epochs", self.epochs, 1)
+        require_integer("batch_size", self.batch_size, 1)
+        if not is_integer(self.seed):
+            raise ContractError(f"seed must be an integer, got {self.seed!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ContractError(f"unknown optimizer {self.optimizer!r}")
 
 
 def _encoder(spec: ModelSpec, rng) -> Sequential:
-    """Conv blocks (conv-relu-maxpool) plus optional residual blocks, then
+    """Conv blocks (conv-maxpool-relu) plus optional residual blocks, then
     global average pooling.  Output width is independent of the input
-    resolution, so one head serves every probe/input resolution."""
+    resolution, so one head serves every probe/input resolution.
+
+    Max pooling and ReLU commute, outputs and gradients included, so
+    pooling first gives the same model and runs the ReLU on a quarter of
+    the values."""
     layers = []
     in_ch = spec.encoder_in_channels
     for i, out_ch in enumerate(spec.encoder_channels):
         # the first layer's input is the data: its gradient is never used
         layers += [_he_conv(rng, f"encoder.conv{i}", out_ch, in_ch, need_dx=i > 0),
-                   Layer(relu_forward, relu_backward),
-                   Layer(maxpool2x2_forward, maxpool2x2_backward)]
+                   Layer(maxpool2x2_forward, maxpool2x2_backward),
+                   Layer(relu_forward, relu_backward)]
         in_ch = out_ch
     for i in range(spec.residual_blocks):
         conv_a, conv_b = (_he_conv(rng, f"encoder.res{i}{ab}", in_ch, in_ch) for ab in "ab")
@@ -527,6 +528,8 @@ def transform_targets(kind: str, values: np.ndarray, clip_max: float | None = No
             raise DataError("relERT values must be positive")
         out = np.log10(values)
         if clip_max is not None:
+            if not 0 < clip_max < math.inf:
+                raise ContractError(f"clip_max must be finite and positive, got {clip_max!r}")
             out = np.minimum(out, np.log10(clip_max))
         return out
     if kind == "relhv_clip":
@@ -694,7 +697,8 @@ def load_model(path, expect_spec: ModelSpec | None = None) -> Model:
     if (
         not isinstance(payload, dict)
         or payload.get("format") != MODEL_FORMAT
-        or payload.get("version") != MODEL_FORMAT_VERSION
+        or type(payload.get("version")) is not int
+        or payload["version"] != MODEL_FORMAT_VERSION
     ):
         raise ParseError(f"{path}: unknown model format")
     try:

@@ -237,6 +237,8 @@ def build_moo_table(records, hv_best: dict) -> MooPerfTable:
     """
     groups: dict[tuple, list] = {}
     for r in records:
+        if not math.isfinite(r.hv):
+            raise DataError(f"hv of ({r.instance}, {r.algorithm}, {r.repetition}) is {r.hv}, not finite")
         groups.setdefault((r.instance, r.algorithm), []).append(r.hv)
     instances = tuple(sorted({i for i, _ in groups}))
     algorithms = tuple(sorted({a for _, a in groups}))
@@ -244,8 +246,8 @@ def build_moo_table(records, hv_best: dict) -> MooPerfTable:
     for inst in instances:
         if inst not in hv_best:
             raise DataError(f"no best-known HV for instance {inst!r}")
-        if hv_best[inst] <= 0:
-            raise DataError(f"best-known HV for {inst!r} must be positive")
+        if not (math.isfinite(hv_best[inst]) and hv_best[inst] > 0):
+            raise DataError(f"best-known HV for {inst!r} must be finite and positive")
     for inst in instances:
         for a in algorithms:
             vals = groups.get((inst, a))

@@ -3,9 +3,10 @@
 A problem instance is turned into grayscale contour fields by evaluating it
 on a uniform 2-D grid (a random axis-aligned slice when d > 2), normalizing
 each field to [0, 1], emulating a filled-contour rendering by level
-quantization, and resizing to the CNN input resolution.  Five views are
-stacked per configuration; bi-objective instances instead probe five
-sampled rectangular windows per repetition, once per objective.
+quantization, and resizing to the CNN input resolution.  Each field is an
+(r, r) float64 array.  Five views are stacked per configuration into one
+(5, r, r) array; bi-objective instances instead probe five sampled
+rectangular windows per repetition, once per objective.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, require_integer
 from .suite import (
     DOMAIN_HI,
     DOMAIN_LO,
@@ -41,24 +42,11 @@ class EvalCounter:
         self.spent += int(n)
 
 
-@dataclass(eq=False)
-class ScalarField:
-    """An r x r probed field; values[b, a] holds the point with the a-th
-    first-coordinate and b-th second-coordinate (both ascending)."""
-
-    values: np.ndarray
-
-    @property
-    def resolution(self) -> int:
-        return self.values.shape[0]
-
-
 @dataclass(frozen=True)
 class SlicePlan:
     """The two coordinates spanning the probed cross-section (others at 0)."""
 
     axes: tuple[int, int]
-    fixed_value: float = 0.0
 
     def __post_init__(self):
         i, j = self.axes
@@ -87,17 +75,17 @@ FULL_DOMAIN = Window(
 class ContourStack:
     """k normalized views of one configuration plus probing provenance."""
 
-    views: list[ScalarField]
+    views: np.ndarray  # (k, r, r) float64
     source: list[dict]
     evaluations_spent: int
 
     @property
     def resolution(self) -> int:
-        return self.views[0].resolution
+        return self.views.shape[-1]
 
     def as_array(self) -> np.ndarray:
-        """(k, r, r) float64 array of the stacked views."""
-        return np.stack([v.values for v in self.views])
+        """A (k, r, r) float64 copy of the views."""
+        return self.views.copy()
 
 
 def plan_slice(d: int, rng: np.random.Generator) -> SlicePlan:
@@ -114,12 +102,11 @@ def plan_slice(d: int, rng: np.random.Generator) -> SlicePlan:
 def _grid_points(inst: ProblemInstance, plan: SlicePlan, r: int, window: Window):
     """(r*r, d) evaluation points for the grid; row-major with the second
     slice coordinate as the slow (row) index."""
-    if r < 2:
-        raise ContractError("grid resolution must be at least 2")
+    require_integer("grid resolution", r, 2)
     ax_a = np.linspace(window.lo[0], window.lo[0] + window.side[0], r)
     ax_b = np.linspace(window.lo[1], window.lo[1] + window.side[1], r)
     grid_b, grid_a = np.meshgrid(ax_b, ax_a, indexing="ij")
-    pts = np.full((r * r, inst.dimension), plan.fixed_value)
+    pts = np.zeros((r * r, inst.dimension))
     pts[:, plan.axes[0]] = grid_a.ravel()
     pts[:, plan.axes[1]] = grid_b.ravel()
     return pts
@@ -131,13 +118,15 @@ def probe_grid(
     r: int,
     window: Window = FULL_DOMAIN,
     counter: EvalCounter | None = None,
-) -> ScalarField:
-    """Evaluate a SOO instance on an endpoint-inclusive r x r grid."""
+) -> np.ndarray:
+    """Evaluate a SOO instance on an endpoint-inclusive r x r grid; entry
+    [b, a] holds the point with the a-th first and b-th second slice
+    coordinate (both ascending)."""
     pts = _grid_points(inst, plan, r, window)
     values = evaluate_soo_batch(inst, pts).reshape(r, r)
     if counter is not None:
         counter.add(r * r)
-    return ScalarField(values=values)
+    return values
 
 
 def probe_grid_moo(
@@ -145,7 +134,7 @@ def probe_grid_moo(
     r: int,
     window: Window = FULL_DOMAIN,
     counter: EvalCounter | None = None,
-) -> tuple[ScalarField, ScalarField]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate both objectives of a MOO instance over the same grid."""
     plan = SlicePlan(axes=(0, 1))
     pts = _grid_points(inst, plan, r, window)
@@ -153,12 +142,12 @@ def probe_grid_moo(
     if counter is not None:
         counter.add(2 * r * r)  # one grid, two fields
     f1, f2 = pairs.T
-    return ScalarField(values=f1.reshape(r, r)), ScalarField(values=f2.reshape(r, r))
+    return f1.reshape(r, r), f2.reshape(r, r)
 
 
-def normalize(field: ScalarField) -> ScalarField:
-    """Rescale to [0, 1]; a constant field becomes all 0.5."""
-    vals = field.values
+def normalize(field) -> np.ndarray:
+    """Rescale a field to [0, 1]; a constant field becomes all 0.5."""
+    vals = np.asarray(field, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise DataError("cannot normalize a field with NaN or inf values")
     lo = vals.min()
@@ -166,48 +155,46 @@ def normalize(field: ScalarField) -> ScalarField:
     with np.errstate(over="ignore"):
         span = hi - lo
     if hi == lo:
-        out = np.full_like(vals, 0.5)
-    elif np.isfinite(span):
-        out = (vals - lo) / span
-    else:  # the range overflows float64; halving every term keeps it finite
-        out = (vals * 0.5 - lo * 0.5) / (hi * 0.5 - lo * 0.5)
-    return ScalarField(values=out)
+        return np.full_like(vals, 0.5)
+    if np.isfinite(span):
+        return (vals - lo) / span
+    # the range overflows float64; halving every term keeps it finite
+    return (vals * 0.5 - lo * 0.5) / (hi * 0.5 - lo * 0.5)
 
 
-def quantize_levels(field: ScalarField, levels: int) -> ScalarField:
+def quantize_levels(field, levels: int) -> np.ndarray:
     """Snap a normalized field onto L level bands (filled-contour emulation).
 
     Each value maps to the midpoint of its band; levels=0 passes the
     continuous field through unchanged.
     """
-    if levels < 0:
-        raise ContractError("levels must be >= 0")
-    vals = field.values
+    require_integer("levels", levels, 0)
+    vals = np.asarray(field, dtype=float)
     if not (vals.min() >= 0.0 and vals.max() <= 1.0):
         raise ContractError("quantize_levels expects a field normalized to [0, 1]")
     if levels == 0:
-        return field
+        return vals
     v = np.minimum(vals, 1.0 - 1e-12)
-    out = (np.floor(v * levels) + 0.5) / levels
-    return ScalarField(values=out)
+    return (np.floor(v * levels) + 0.5) / levels
 
 
-def resize_bilinear(field: ScalarField, r_out: int) -> ScalarField:
-    """Endpoint-aligned bilinear resample to r_out x r_out (corners exact)."""
-    if r_out < 2:
-        raise ContractError("output resolution must be at least 2")
-    vals = field.values
+def resize_bilinear(field, r_out: int) -> np.ndarray:
+    """Endpoint-aligned bilinear resample of a square field to r_out x r_out
+    (corners exact)."""
+    require_integer("output resolution", r_out, 2)
+    vals = np.asarray(field, dtype=float)
+    if vals.ndim != 2 or not 0 < vals.shape[0] == vals.shape[1]:
+        raise ContractError(f"resize_bilinear expects a square 2-D field, got shape {vals.shape}")
     r_in = vals.shape[0]
     if r_out == r_in:
-        return ScalarField(values=vals.copy())
+        return vals.copy()
     u = np.arange(r_out) * (r_in - 1) / (r_out - 1)
     i0 = np.minimum(u.astype(int), r_in - 2)
     frac = u - i0
     i1 = i0 + 1
     rows = vals[i0][:, i1] * frac[None, :] + vals[i0][:, i0] * (1.0 - frac[None, :])
     rows1 = vals[i1][:, i1] * frac[None, :] + vals[i1][:, i0] * (1.0 - frac[None, :])
-    out = rows * (1.0 - frac[:, None]) + rows1 * frac[:, None]
-    return ScalarField(values=out)
+    return rows * (1.0 - frac[:, None]) + rows1 * frac[:, None]
 
 
 def sample_window(
@@ -222,7 +209,7 @@ def sample_window(
     return Window(lo=(float(corner[0]), float(corner[1])), side=(side, side))
 
 
-def _finish_view(field: ScalarField, levels: int, r_out: int) -> ScalarField:
+def _finish_view(field: np.ndarray, levels: int, r_out: int) -> np.ndarray:
     return resize_bilinear(quantize_levels(normalize(field), levels), r_out)
 
 
@@ -238,13 +225,15 @@ def build_soo_stack(
     """Probe the five instances of a (function, dimension) configuration.
 
     Each instance draws its own random slice; views are normalized,
-    quantized, and resized independently.  The evaluation budget is spent
-    at r_probe only; resizing never re-evaluates.
+    quantized, and resized independently into one (5, r_out, r_out) array.
+    The evaluation budget is spent at r_probe only; resizing never
+    re-evaluates.
     """
     if len(instance_seeds) != VIEWS_PER_STACK:
         raise ContractError(f"need {VIEWS_PER_STACK} instance seeds")
+    require_integer("r_out", r_out, 2)
     counter = EvalCounter()
-    views = []
+    views = np.empty((VIEWS_PER_STACK, r_out, r_out))
     source = []
     for idx, inst_seed in enumerate(instance_seeds):
         pid = ProblemId(
@@ -256,7 +245,7 @@ def build_soo_stack(
         )
         plan = plan_slice(dimension, rng)
         raw = probe_grid(inst, plan, r_probe, counter=counter)
-        views.append(_finish_view(raw, levels, r_out))
+        views[idx] = _finish_view(raw, levels, r_out)
         source.append(
             {"instance_index": idx, "seed": int(inst_seed), "axes": list(plan.axes)}
         )
@@ -274,18 +263,20 @@ def build_moo_stacks(
     """Sample five windows and probe both objectives over each.
 
     View i of both returned stacks shares window i; the two objectives are
-    normalized independently so each keeps its own geometry.
+    normalized independently so each keeps its own geometry.  The two stacks
+    hold the halves of one (2, 5, r_out, r_out) array.
     """
     if inst.id.kind != "moo":
         raise ContractError("build_moo_stacks needs a bi-objective instance")
+    require_integer("r_out", r_out, 2)
     counter = EvalCounter()
-    views: tuple[list, list] = ([], [])
+    views = np.empty((2, VIEWS_PER_STACK, r_out, r_out))
     source = []
-    for _ in range(VIEWS_PER_STACK):
+    for i in range(VIEWS_PER_STACK):
         window = sample_window(lam, rng)
         f1, f2 = probe_grid_moo(inst, r_probe, window=window, counter=counter)
         for k, raw in enumerate((f1, f2)):
-            views[k].append(_finish_view(raw, levels, r_out))
+            views[k, i] = _finish_view(raw, levels, r_out)
         source.append({"window": window.to_json()})
     # each objective stack books its half of the shared grids' evaluations
     per_stack = counter.spent // 2
@@ -295,14 +286,16 @@ def build_moo_stacks(
     )
 
 
-def write_pgm(field: ScalarField, path) -> None:
-    """Write a normalized field as binary PGM (P5, maxval 255).
+def write_pgm(field, path) -> None:
+    """Write a normalized 2-D field as binary PGM (P5, maxval 255).
 
     Row 0 of the image is the maximum second-coordinate edge, matching the
     usual top-down image convention.  Output bytes are platform-independent.
     """
-    vals = field.values
-    if vals.min() < 0.0 or vals.max() > 1.0:
+    vals = np.asarray(field, dtype=float)
+    if vals.ndim != 2:
+        raise ContractError(f"write_pgm expects a 2-D field, got shape {vals.shape}")
+    if not (vals.min() >= 0.0 and vals.max() <= 1.0):
         raise DataError("write_pgm expects a normalized field")
     pixels = np.floor(np.flipud(vals) * 255.0 + 0.5).astype(np.uint8)
     h, w = pixels.shape

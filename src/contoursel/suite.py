@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, InvalidProblemError
+from .errors import ContractError, InvalidProblemError, is_integer
 from .perfdata import nondominated_2d
 
 DOMAIN_LO = -5.0
@@ -64,6 +64,12 @@ class ProblemId:
     def __post_init__(self):
         if self.kind not in ("soo", "moo"):
             raise InvalidProblemError(f"unknown kind {self.kind!r}")
+        if not is_integer(self.dimension):
+            raise InvalidProblemError(f"dimension must be an integer, got {self.dimension!r}")
+        if not is_integer(self.instance_index, 0):
+            raise InvalidProblemError(
+                f"instance_index must be a non-negative integer, got {self.instance_index!r}"
+            )
         if self.kind == "soo":
             if self.function_code not in SOO_FUNCTIONS:
                 raise InvalidProblemError(
@@ -80,8 +86,6 @@ class ProblemId:
                 )
             if self.dimension != MOO_DIMENSION:
                 raise InvalidProblemError("bi-objective problems are d=2 only")
-        if self.instance_index < 0:
-            raise InvalidProblemError("instance_index must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)

@@ -392,6 +392,14 @@ class TestTraining:
         with pytest.raises(ContractError, match="batch_size"):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("batch_size", 2.5), ("seed", 1.5), ("seed", True),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", "0.1"),
+    ])
+    def test_malformed_config_field_rejected(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            TrainConfig(**{field: value})
+
     def test_fit_agrees_across_blas_thread_counts(self, tmp_path):
         """Bit-exactness holds at a fixed BLAS thread count only; across
         thread counts a fit agrees within the benchmark's tolerance for
@@ -461,6 +469,11 @@ class TestTransforms:
     def test_invalid_value_rejected(self, kind, value):
         with pytest.raises(DataError):
             transform_targets(kind, [1.0, value])
+
+    @pytest.mark.parametrize("clip_max", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_clip_max_rejected(self, clip_max):
+        with pytest.raises(ContractError, match="clip_max"):
+            transform_targets("log10_relert", [1.0, 10.0], clip_max=clip_max)
 
     def test_argmin_preserved_by_log(self):
         rng = np.random.default_rng(0)
@@ -540,7 +553,10 @@ class TestPersistence:
         lambda c: c.update(params=7),
         lambda c: c["params"].__setitem__(1, ["encoder.conv0.b", [2]]),
         lambda c: c["params"][1].update(shape=None),
-    ], ids=["spec-not-object", "resolution-not-integer", "params-not-list", "entry-not-object", "shape-null"])
+        lambda c: c.update(version=True),
+        lambda c: c.update(version=1.0),
+    ], ids=["spec-not-object", "resolution-not-integer", "params-not-list", "entry-not-object", "shape-null",
+            "version-true", "version-float"])
     def test_malformed_container_rejected(self, tmp_path, mutate):
         path = tmp_path / "model.json"
         save_model(Model(tiny_spec(), seed=0), path)

@@ -327,6 +327,17 @@ class TestMooTable:
         with pytest.raises(DataError):
             build_moo_table(self.make_records(), hv_best={"i1": 1.0})
 
+    @pytest.mark.parametrize("where, value", [("hv", np.nan), ("hv", np.inf), ("best", np.nan), ("best", np.inf)])
+    def test_nonfinite_hv_rejected(self, where, value):
+        records = self.make_records()
+        hv_best = {"i1": 1.0, "i2": 1.0}
+        if where == "hv":
+            records[3] = MooHvRecord(records[3].algorithm, records[3].instance, records[3].repetition, value)
+        else:
+            hv_best["i2"] = value
+        with pytest.raises(DataError, match="finite"):
+            build_moo_table(records, hv_best)
+
 
 class TestCsv:
     def test_runs_round_trip(self, tmp_path):

@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from contoursel.errors import ContractError, DataError
 from contoursel.prober import (
     EvalCounter,
-    ScalarField,
     SlicePlan,
     Window,
     build_moo_stacks,
@@ -21,10 +23,6 @@ from contoursel.prober import (
     write_pgm,
 )
 from contoursel.suite import ProblemId, make_instance
-
-
-def field(vals):
-    return ScalarField(values=np.asarray(vals, dtype=float))
 
 
 def sphere_instance(d=2, seed=0, idx=0):
@@ -70,15 +68,15 @@ class TestProbeGrid:
         expected = np.array(
             [[50.0, 25.0, 50.0], [25.0, 0.0, 25.0], [50.0, 25.0, 50.0]]
         )
-        np.testing.assert_allclose(f.values, expected)
+        np.testing.assert_allclose(f, expected)
 
     def test_minimum_on_grid_center(self):
         inst = sphere_instance()
         inst.x_opt[:] = 0.0
         f = probe_grid(inst, SlicePlan(axes=(0, 1)), 5)
-        b, a = np.unravel_index(np.argmin(f.values), f.values.shape)
+        b, a = np.unravel_index(np.argmin(f), f.shape)
         assert (b, a) == (2, 2)
-        assert f.values[b, a] == pytest.approx(inst.f_opt)
+        assert f[b, a] == pytest.approx(inst.f_opt)
 
     def test_evaluation_counter(self):
         inst = sphere_instance()
@@ -91,7 +89,7 @@ class TestProbeGrid:
         inst = sphere_instance(d=2)
         inst.x_opt[:] = [0.0, -100.0]  # optimum far below in x_1 direction
         f = probe_grid(inst, SlicePlan(axes=(0, 1)), 4)
-        col = f.values[:, 0]
+        col = f[:, 0]
         assert np.all(np.diff(col) > 0)
 
     def test_moo_shared_grid_and_counter(self):
@@ -100,82 +98,81 @@ class TestProbeGrid:
         counter = EvalCounter()
         f1, f2 = probe_grid_moo(inst, 16, counter=counter)
         assert counter.spent == 2 * 16 * 16
-        assert f1.resolution == f2.resolution == 16
+        assert f1.shape == f2.shape == (16, 16)
 
 
 class TestNormalize:
     def test_simple(self):
-        f = normalize(field([[0.0, 2.0], [4.0, 4.0]]))
-        np.testing.assert_allclose(f.values, [[0.0, 0.5], [1.0, 1.0]])
+        f = normalize([[0.0, 2.0], [4.0, 4.0]])
+        np.testing.assert_allclose(f, [[0.0, 0.5], [1.0, 1.0]])
 
     def test_constant_becomes_half(self):
-        f = normalize(field([[3.0, 3.0], [3.0, 3.0]]))
-        assert np.all(f.values == 0.5)
+        f = normalize([[3.0, 3.0], [3.0, 3.0]])
+        assert np.all(f == 0.5)
 
     def test_output_hits_exact_bounds(self):
         rng = np.random.default_rng(0)
-        f = normalize(field(rng.normal(size=(8, 8))))
-        assert f.values.min() == 0.0
-        assert f.values.max() == 1.0
+        f = normalize(rng.normal(size=(8, 8)))
+        assert f.min() == 0.0
+        assert f.max() == 1.0
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
-        once = normalize(field(rng.normal(size=(6, 6))))
+        once = normalize(rng.normal(size=(6, 6)))
         twice = normalize(once)
-        np.testing.assert_array_equal(once.values, twice.values)
+        np.testing.assert_array_equal(once, twice)
 
     def test_overflowing_range_stays_finite(self):
-        f = normalize(field([[-1e308, 0.0], [1.0, 1e308]]))
-        assert np.all(np.isfinite(f.values))
-        assert f.values.min() == 0.0 and f.values.max() == 1.0
-        np.testing.assert_allclose(f.values, [[0.0, 0.5], [0.5, 1.0]])
+        f = normalize([[-1e308, 0.0], [1.0, 1e308]])
+        assert np.all(np.isfinite(f))
+        assert f.min() == 0.0 and f.max() == 1.0
+        np.testing.assert_allclose(f, [[0.0, 0.5], [0.5, 1.0]])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DataError):
-            normalize(field([[0.0, np.nan], [1.0, 2.0]]))
+            normalize([[0.0, np.nan], [1.0, 2.0]])
         with pytest.raises(DataError):
-            normalize(field([[0.0, np.inf], [1.0, 2.0]]))
+            normalize([[0.0, np.inf], [1.0, 2.0]])
 
 
 class TestQuantize:
     def test_two_levels(self):
-        f = quantize_levels(field([[0.3, 0.9]]), 2)
-        np.testing.assert_allclose(f.values, [[0.25, 0.75]])
+        f = quantize_levels([[0.3, 0.9]], 2)
+        np.testing.assert_allclose(f, [[0.25, 0.75]])
 
     def test_zero_levels_identity(self):
-        raw = field([[0.12, 0.98]])
+        raw = [[0.12, 0.98]]
         f = quantize_levels(raw, 0)
-        np.testing.assert_array_equal(f.values, raw.values)
+        np.testing.assert_array_equal(f, raw)
 
     def test_values_outside_unit_interval_rejected(self):
         for vals in ([[5.0, 0.5]], [[-3.0, 0.5]], [[np.nan, 0.5]]):
             with pytest.raises(ContractError, match="normalized"):
-                quantize_levels(field(vals), 4)
+                quantize_levels(vals, 4)
 
     def test_top_value_clamps_into_last_band(self):
-        f = quantize_levels(field([[1.0, 0.0]]), 4)
-        np.testing.assert_allclose(f.values, [[0.875, 0.125]])
+        f = quantize_levels([[1.0, 0.0]], 4)
+        np.testing.assert_allclose(f, [[0.875, 0.125]])
 
 
 class TestResize:
     def test_hand_bilinear_2x2_to_3x3(self):
-        f = resize_bilinear(field([[0.0, 1.0], [2.0, 3.0]]), 3)
+        f = resize_bilinear([[0.0, 1.0], [2.0, 3.0]], 3)
         expected = [[0.0, 0.5, 1.0], [1.0, 1.5, 2.0], [2.0, 2.5, 3.0]]
-        np.testing.assert_allclose(f.values, expected)
+        np.testing.assert_allclose(f, expected)
 
     def test_identity_resize(self):
         vals = np.random.default_rng(0).random((5, 5))
-        f = resize_bilinear(field(vals), 5)
-        np.testing.assert_array_equal(f.values, vals)
+        f = resize_bilinear(vals, 5)
+        np.testing.assert_array_equal(f, vals)
 
     def test_constant_stays_constant(self):
-        f = resize_bilinear(field(np.full((4, 4), 0.7)), 9)
-        np.testing.assert_allclose(f.values, 0.7)
+        f = resize_bilinear(np.full((4, 4), 0.7), 9)
+        np.testing.assert_allclose(f, 0.7)
 
     def test_corners_preserved(self):
         vals = np.random.default_rng(3).random((7, 7))
-        f = resize_bilinear(field(vals), 13)
-        out = f.values
+        out = resize_bilinear(vals, 13)
         assert out[0, 0] == vals[0, 0]
         assert out[0, -1] == vals[0, -1]
         assert out[-1, 0] == vals[-1, 0]
@@ -183,9 +180,33 @@ class TestResize:
 
     def test_downscale_stays_in_range(self):
         vals = np.random.default_rng(4).random((30, 30))
-        out = resize_bilinear(field(vals), 8).values
+        out = resize_bilinear(vals, 8)
         assert out.min() >= vals.min() - 1e-12
         assert out.max() <= vals.max() + 1e-12
+
+    @pytest.mark.parametrize("shape", [(3, 5), (4,), (2, 3, 3), (0, 0)])
+    def test_non_square_field_rejected(self, shape):
+        with pytest.raises(ContractError, match="square"):
+            resize_bilinear(np.zeros(shape), 4)
+
+
+# the extremes are drawn on their own too, so that a field's range overflows
+_FINITE = st.one_of(st.floats(-1e308, 1e308, allow_nan=False), st.sampled_from([-1e308, 1e308]))
+_SQUARE_FIELDS = st.integers(1, 8).flatmap(lambda n: arrays(np.float64, (n, n), elements=_FINITE))
+
+
+@given(_SQUARE_FIELDS, st.integers(0, 40), st.integers(2, 12))
+def test_views_stay_in_unit_interval(raw, levels, r_out):
+    """normalize spans [0, 1] exactly (a constant field is all 0.5), and
+    quantizing and resizing the result keep it inside [0, 1]."""
+    norm = normalize(raw)
+    if np.all(raw == raw.flat[0]):
+        assert np.all(norm == 0.5)
+    else:
+        assert norm.min() == 0.0 and norm.max() == 1.0
+    quantized = quantize_levels(norm, levels)
+    for out in (norm, quantized, resize_bilinear(quantized, r_out)):
+        assert np.all((out >= 0.0) & (out <= 1.0))
 
 
 class TestSampleWindow:
@@ -244,6 +265,23 @@ class TestStacks:
         large = build_soo_stack("sphere", 2, r_out=32, **common)
         assert small.evaluations_spent == large.evaluations_spent == 5 * 40 * 40
 
+    @pytest.mark.parametrize("bad", [dict(r_out=2.5), dict(r_probe=2.5), dict(levels=2.5), dict(r_out="16")])
+    def test_non_integer_resolution_or_levels_rejected(self, bad):
+        kwargs = dict(instance_seeds=[1, 2, 3, 4, 5], slice_seed=0, r_probe=10, r_out=4, levels=4) | bad
+        with pytest.raises(ContractError, match="integer"):
+            build_soo_stack("sphere", 2, **kwargs)
+        pid = ProblemId(kind="moo", function_code="zdt1", dimension=2, instance_index=0)
+        kwargs = {k: v for k, v in kwargs.items() if k not in ("instance_seeds", "slice_seed")}
+        with pytest.raises(ContractError, match="integer"):
+            build_moo_stacks(make_instance(pid, 0), np.random.default_rng(0), **kwargs)
+
+    def test_views_are_one_array(self):
+        stack = build_soo_stack("sphere", 2, instance_seeds=[1, 2, 3, 4, 5], slice_seed=0, r_probe=10, r_out=4)
+        assert stack.views.shape == (5, 4, 4) and stack.resolution == 4
+        copy = stack.as_array()
+        copy[...] = -1.0
+        assert stack.views.min() >= 0.0
+
     def test_needs_five_seeds(self):
         with pytest.raises(ContractError):
             build_soo_stack("sphere", 2, instance_seeds=[1, 2], slice_seed=0, r_probe=10, r_out=4)
@@ -270,33 +308,38 @@ class TestStacks:
 class TestWritePgm:
     def test_constant_half_bytes(self, tmp_path):
         path = tmp_path / "half.pgm"
-        write_pgm(field(np.full((4, 4), 0.5)), path)
+        write_pgm(np.full((4, 4), 0.5), path)
         data = path.read_bytes()
         assert data.startswith(b"P5\n4 4\n255\n")
         assert data[len(b"P5\n4 4\n255\n"):] == bytes([128] * 16)
 
     def test_extreme_values(self, tmp_path):
         path = tmp_path / "ramp.pgm"
-        write_pgm(field([[0.0, 1.0], [0.0, 1.0]]), path)
+        write_pgm([[0.0, 1.0], [0.0, 1.0]], path)
         body = path.read_bytes().split(b"255\n", 1)[1]
         assert body == bytes([0, 255, 0, 255])
 
     def test_row_zero_is_top(self, tmp_path):
         # values[1, :] (larger second coordinate) must land in the first row
         path = tmp_path / "flip.pgm"
-        write_pgm(field([[0.0, 0.0], [1.0, 1.0]]), path)
+        write_pgm([[0.0, 0.0], [1.0, 1.0]], path)
         body = path.read_bytes().split(b"255\n", 1)[1]
         assert body == bytes([255, 255, 0, 0])
 
     def test_byte_identical_rewrites(self, tmp_path):
         vals = np.random.default_rng(0).random((9, 9))
-        f = field(vals)
         p1 = tmp_path / "a.pgm"
         p2 = tmp_path / "b.pgm"
-        write_pgm(f, p1)
-        write_pgm(f, p2)
+        write_pgm(vals, p1)
+        write_pgm(vals, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_rejects_unnormalized(self, tmp_path):
         with pytest.raises(DataError):
-            write_pgm(field([[-0.2, 0.5]]), tmp_path / "bad.pgm")
+            write_pgm([[-0.2, 0.5]], tmp_path / "bad.pgm")
+        with pytest.raises(DataError):
+            write_pgm([[np.nan, 0.5]], tmp_path / "nan.pgm")
+
+    def test_rejects_a_stack(self, tmp_path):
+        with pytest.raises(ContractError, match="2-D"):
+            write_pgm(np.full((5, 4, 4), 0.5), tmp_path / "stack.pgm")

@@ -109,6 +109,12 @@ def test_dimension_mismatch_raises():
         evaluate_soo_batch(inst, np.zeros((4, 5)))
 
 
+@pytest.mark.parametrize("dimension, instance_index", [(2.0, 0), ("2", 0), (True, 0), (2, "a"), (2, 1.0), (2, -1)])
+def test_non_integer_dimension_or_index_rejected(dimension, instance_index):
+    with pytest.raises(InvalidProblemError, match="integer"):
+        ProblemId(kind="soo", function_code="sphere", dimension=dimension, instance_index=instance_index)
+
+
 def test_invalid_problem_combinations():
     with pytest.raises(InvalidProblemError):
         ProblemId(kind="soo", function_code="sphere", dimension=4, instance_index=0)
