@@ -327,17 +327,9 @@ class ModelSpec:
         return per_stack * self.stack_count
 
     def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "input_resolution": self.input_resolution,
-            "output_count": self.output_count,
-            "view_count": self.view_count,
-            "stack_count": self.stack_count,
-            "encoder_channels": list(self.encoder_channels),
-            "residual_blocks": self.residual_blocks,
-            "head_widths": list(self.head_widths),
-            "target_transform": self.target_transform,
-        }
+        """Every field in declaration order, tuples as lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(ModelSpec)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
     @staticmethod
     def from_json(data: dict) -> "ModelSpec":
@@ -351,7 +343,6 @@ class ModelSpec:
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     epochs: int = 200
     batch_size: int = 8
     seed: int = 0
@@ -365,8 +356,8 @@ class TrainConfig:
         require_integer("batch_size", self.batch_size, 1)
         if not is_integer(self.seed):
             raise ContractError(f"seed must be an integer, got {self.seed!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ContractError(f"unknown optimizer {self.optimizer!r}")
+        if not isinstance(self.augment, bool):
+            raise ContractError(f"augment must be a bool, got {self.augment!r}")
 
 
 def _encoder(spec: ModelSpec, rng) -> Sequential:
@@ -486,17 +477,7 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# Optimizers and the training loop
-
-
-class Sgd:
-    def __init__(self, params, lr):
-        self.params = params
-        self.lr = lr
-
-    def step(self):
-        for p in self.params:
-            p.value -= self.lr * p.grad
+# Optimizer and the training loop
 
 
 class Adam:
@@ -528,7 +509,7 @@ def transform_targets(kind: str, values: np.ndarray, clip_max: float | None = No
             raise DataError("relERT values must be positive")
         out = np.log10(values)
         if clip_max is not None:
-            if not 0 < clip_max < math.inf:
+            if not (isinstance(clip_max, numbers.Real) and 0 < clip_max < math.inf):
                 raise ContractError(f"clip_max must be finite and positive, got {clip_max!r}")
             out = np.minimum(out, np.log10(clip_max))
         return out
@@ -580,8 +561,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig):
     if not np.all(np.isfinite(dataset.targets)):
         raise DataError("training targets must be finite")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0xFFFFFFFFFFFFFFFF, 0x7EA1]))
-    params = model.params()
-    opt = Adam(params, config.learning_rate) if config.optimizer == "adam" else Sgd(params, config.learning_rate)
+    opt = Adam(model.params(), config.learning_rate)
     k = model.spec.view_count
     losses = []
     for epoch in range(config.epochs):
@@ -604,63 +584,6 @@ def train(model: Model, dataset: Dataset, config: TrainConfig):
             epoch_loss += loss * len(batch)
         losses.append(epoch_loss / n)
     return losses
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-
-
-def grad_check(model: Model, stacks, dims, targets, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients
-    over every parameter element."""
-    model.loss_and_grads(stacks, dims, targets)
-    analytic = [p.grad.copy() for p in model.params()]
-
-    def loss_only():
-        pred, _ = model.forward_batch(stacks, dims)
-        return mse_loss(pred, targets)[0]
-
-    worst = 0.0
-    for p, ga in zip(model.params(), analytic):
-        flat = p.value.reshape(-1)
-        gflat = ga.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lo_hi = loss_only()
-            flat[i] = orig - h
-            lo_lo = loss_only()
-            flat[i] = orig
-            numeric = (lo_hi - lo_lo) / (2.0 * h)
-            denom = max(abs(gflat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(gflat[i] - numeric) / denom)
-    return worst
-
-
-def reduced_gradcheck_spec(variant: str, stack_count: int = 1, residual_blocks: int = 0) -> ModelSpec:
-    """Down-scaled architecture used for finite-difference verification."""
-    return ModelSpec(
-        variant=variant,
-        input_resolution=8,
-        output_count=3,
-        view_count=5,
-        stack_count=stack_count,
-        encoder_channels=(2, 3),
-        residual_blocks=residual_blocks,
-        head_widths=(4,),
-        target_transform="log10_relert",
-    )
-
-
-def run_grad_check(variant: str, seed: int, stack_count: int = 1, residual_blocks: int = 0) -> float:
-    """Build a reduced random model plus sample and return the max error."""
-    spec = reduced_gradcheck_spec(variant, stack_count, residual_blocks)
-    model = Model(spec, seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0xFD]))
-    stacks = [rng.random((2, spec.view_count, 8, 8)) for _ in range(stack_count)]
-    dims = rng.integers(2, 11, size=2).astype(float)
-    targets = rng.normal(size=(2, spec.output_count))
-    return grad_check(model, stacks, dims, targets)
 
 
 # ---------------------------------------------------------------------------

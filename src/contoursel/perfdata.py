@@ -4,13 +4,21 @@ Run records aggregate into an ERT table, then into a relERT matrix with
 PAR10-style imputation of failed configurations.  The bi-objective side
 normalizes attained hypervolume per instance and rescales it against the
 virtual-best/single-best gap.
+
+Both sides end in performance matrices, as in ASlib (Bischl et al. 2016):
+one float64 row per problem (a (function, dimension) configuration, or a
+bi-objective instance) and one column per portfolio algorithm, in the
+sorted label order the table records.  The single best solver (SBS) is a
+reduction over columns, the virtual best solver (VBS) one over each row.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,82 +86,84 @@ def ert_table(records) -> dict:
 
 @dataclass(eq=False)
 class RelErtTable:
-    """relERT per (function, dimension, algorithm), failures imputed."""
+    """relERT matrix: relert[i, j] is the relERT of algorithms[j] on the
+    (function, dimension) configs[i], with failures imputed as penalty."""
 
     configs: tuple
     algorithms: tuple
-    relert: dict
-    ert: dict
+    relert: np.ndarray  # (len(configs), len(algorithms)) float64
     penalty: float
 
     def row(self, function_code: str, dimension: int) -> np.ndarray:
         """relERT vector over the portfolio, in self.algorithms order."""
-        return np.array(
-            [self.relert[(function_code, dimension, a)] for a in self.algorithms]
-        )
+        return _row(self.relert, self.configs, (function_code, dimension))
 
-    def mean_per_algorithm(self) -> dict:
-        return {
-            a: float(np.mean([self.relert[(f, d, a)] for f, d in self.configs]))
-            for a in self.algorithms
-        }
+
+def _row(matrix: np.ndarray, labels: tuple, label) -> np.ndarray:
+    if label not in labels:
+        raise DataError(f"no row for {label!r}")
+    return matrix[labels.index(label)].copy()
+
+
+def _column_means(matrix: np.ndarray) -> np.ndarray:
+    # each column is summed as one contiguous vector, the order np.mean
+    # takes over a list, so means agree bit for bit with a per-column loop
+    return np.ascontiguousarray(matrix.T).mean(axis=1)
 
 
 def relert_matrix(erts: dict, penalty_override: float | None = None) -> RelErtTable:
     """Normalize an ERT table by the per-configuration portfolio best.
 
-    Undefined entries receive 10x the maximum finite relERT over the whole
-    table (PAR10 style); pass penalty_override to pin the constant instead,
-    e.g. for parity with externally published tables.
+    erts maps every (function, dimension, algorithm) cell to an ERT, or to
+    None when no run succeeded.  Undefined entries receive 10x the maximum
+    finite relERT over the whole table (PAR10 style); pass penalty_override
+    to pin the constant instead, e.g. for parity with externally published
+    tables.  A configuration no algorithm solved is dropped.
     """
+    if penalty_override is not None and not (
+        isinstance(penalty_override, numbers.Real)
+        and not isinstance(penalty_override, bool)
+        and 1 <= penalty_override < math.inf
+    ):
+        raise ContractError(f"penalty_override must be a finite real >= 1, got {penalty_override!r}")
     for key, v in erts.items():
         if v is not None and not (math.isfinite(v) and v > 0):
             raise DataError(f"ERT for {key} must be finite and positive, got {v!r}")
     algorithms = tuple(sorted({a for (_, _, a) in erts}))
     configs = sorted({(f, d) for (f, d, _) in erts})
-    kept = []
-    relert: dict = {}
-    undefined = []
     for f, d in configs:
-        values = {a: erts.get((f, d, a)) for a in algorithms}
-        finite = [v for v in values.values() if v is not None]
-        if not finite:
+        for a in algorithms:
+            if (f, d, a) not in erts:
+                raise DataError(f"no runs for {(f, d, a)}: every algorithm needs an ERT or None")
+    # None, an algorithm that never succeeded, becomes NaN; the reshape
+    # keeps an empty table two-dimensional
+    ert = np.array([[erts[(f, d, a)] for a in algorithms] for f, d in configs], dtype=float)
+    ert = ert.reshape(len(configs), len(algorithms))
+    solved = ~np.isnan(ert).all(axis=1)
+    for (f, d), ok in zip(configs, solved):
+        if not ok:
             log.warning("dropping configuration (%s, d=%d): no algorithm succeeded", f, d)
-            continue
-        best = min(finite)
-        kept.append((f, d))
-        for a, v in values.items():
-            if v is None:
-                undefined.append((f, d, a))
-            else:
-                relert[(f, d, a)] = v / best
-    if not kept:
+    if not solved.any():
         raise DataError("no configuration has a finite ERT")
-    max_finite = max(relert.values())
-    penalty = penalty_override if penalty_override is not None else 10.0 * max_finite
-    for key in undefined:
-        relert[key] = penalty
+    relert = ert[solved] / np.nanmin(ert[solved], axis=1, keepdims=True)
+    penalty = float(penalty_override if penalty_override is not None else 10.0 * np.nanmax(relert))
+    relert[np.isnan(relert)] = penalty
     return RelErtTable(
-        configs=tuple(kept),
+        configs=tuple(itertools.compress(configs, solved)),
         algorithms=algorithms,
         relert=relert,
-        ert={k: v for k, v in erts.items() if k[:2] in set(kept)},
         penalty=penalty,
     )
 
 
 def sbs(table: RelErtTable) -> str:
     """Single best solver: lowest mean relERT, ties by lexicographic id."""
-    means = table.mean_per_algorithm()
-    best = min(means.values())
-    return min(a for a, m in means.items() if m == best)
+    return table.algorithms[int(np.argmin(_column_means(table.relert)))]
 
 
 def vbs_mean(table: RelErtTable) -> float:
     """Mean over configurations of the per-configuration best relERT (1.0)."""
-    return float(
-        np.mean([min(table.relert[(f, d, a)] for a in table.algorithms) for f, d in table.configs])
-    )
+    return float(table.relert.min(axis=1).mean())
 
 
 def nondominated_2d(points) -> np.ndarray:
@@ -192,9 +202,10 @@ def hypervolume_2d(points, ref) -> float:
     return float(np.cumsum(areas)[-1])
 
 
-def rel_hv(hv: float, hv_sbs: float, hv_vbs: float, eps: float = RELHV_EPSILON) -> float:
+def rel_hv(hv, hv_sbs, hv_vbs, eps: float = RELHV_EPSILON):
     """Rescale hypervolume against the VBS-SBS gap: SBS ~ 0, VBS = 1,
-    negative means worse than the single best solver."""
+    negative means worse than the single best solver.  Takes floats or
+    arrays that broadcast together."""
     return (hv - hv_sbs + eps) / (hv_vbs - hv_sbs + eps)
 
 
@@ -206,66 +217,65 @@ def reference_point(fronts, prespecified=None) -> tuple[float, float]:
     stacked = [np.asarray(f, dtype=float).reshape(-1, 2) for f in fronts if len(f)]
     if not stacked:
         raise DataError("cannot derive a reference point from empty fronts")
-    worst = np.max(np.concatenate(stacked), axis=0)
+    points = np.concatenate(stacked)
+    if not np.all(np.isfinite(points)):
+        raise DataError("cannot derive a reference point from fronts with NaN or inf values")
+    worst = np.max(points, axis=0)
     return (float(worst[0] * REFERENCE_INFLATION), float(worst[1] * REFERENCE_INFLATION))
 
 
 @dataclass(eq=False)
 class MooPerfTable:
-    """Normalized mean hypervolume and relHV per (instance, algorithm)."""
+    """Bi-objective performance matrices: hv_norm[i, j] is the mean
+    normalized hypervolume of algorithms[j] on instances[i], and relhv[i, j]
+    rescales it against that instance's SBS and VBS values."""
 
     instances: tuple
     algorithms: tuple
-    hv_norm: dict  # (instance, algorithm) -> mean normalized HV over repetitions
+    hv_norm: np.ndarray  # (len(instances), len(algorithms)) float64
+    relhv: np.ndarray  # same shape
     sbs_algorithm: str
-    hv_sbs: dict  # instance -> SBS normalized HV
-    hv_vbs: dict  # instance -> best normalized HV
-
-    def relhv(self, instance: str, algorithm: str) -> float:
-        return rel_hv(self.hv_norm[(instance, algorithm)], self.hv_sbs[instance], self.hv_vbs[instance])
 
     def relhv_row(self, instance: str) -> np.ndarray:
-        return np.array([self.relhv(instance, a) for a in self.algorithms])
+        """relHV vector over the portfolio, in self.algorithms order."""
+        return _row(self.relhv, self.instances, instance)
 
 
 def build_moo_table(records, hv_best: dict) -> MooPerfTable:
-    """Aggregate MOO run records into the relHV bookkeeping.
+    """Aggregate MOO run records into the relHV matrices.
 
     hv values are normalized by the per-instance best-known HV, then averaged
     over repetitions before the SBS/VBS split (see the report disclaimer for
-    this aggregation choice).
+    this aggregation choice).  The SBS has the highest mean hv_norm over
+    instances, ties broken by lexicographic id; the VBS of an instance is the
+    best hv_norm in its row.
     """
     groups: dict[tuple, list] = {}
     for r in records:
         if not math.isfinite(r.hv):
             raise DataError(f"hv of ({r.instance}, {r.algorithm}, {r.repetition}) is {r.hv}, not finite")
         groups.setdefault((r.instance, r.algorithm), []).append(r.hv)
+    if not groups:
+        raise DataError("no MOO run records")
     instances = tuple(sorted({i for i, _ in groups}))
     algorithms = tuple(sorted({a for _, a in groups}))
-    hv_norm = {}
     for inst in instances:
         if inst not in hv_best:
             raise DataError(f"no best-known HV for instance {inst!r}")
         if not (math.isfinite(hv_best[inst]) and hv_best[inst] > 0):
             raise DataError(f"best-known HV for {inst!r} must be finite and positive")
-    for inst in instances:
         for a in algorithms:
-            vals = groups.get((inst, a))
-            if vals is None:
+            if (inst, a) not in groups:
                 raise DataError(f"no runs for ({inst}, {a})")
-            hv_norm[(inst, a)] = float(np.mean(vals)) / hv_best[inst]
-    means = {a: float(np.mean([hv_norm[(i, a)] for i in instances])) for a in algorithms}
-    best_mean = max(means.values())
-    sbs_algorithm = min(a for a, m in means.items() if m == best_mean)
-    hv_sbs = {i: hv_norm[(i, sbs_algorithm)] for i in instances}
-    hv_vbs = {i: max(hv_norm[(i, a)] for a in algorithms) for i in instances}
+    mean_hv = np.array([[np.mean(groups[(i, a)]) for a in algorithms] for i in instances])
+    hv_norm = mean_hv / np.array([hv_best[i] for i in instances])[:, None]
+    sbs_column = int(np.argmax(_column_means(hv_norm)))
     return MooPerfTable(
         instances=instances,
         algorithms=algorithms,
         hv_norm=hv_norm,
-        sbs_algorithm=sbs_algorithm,
-        hv_sbs=hv_sbs,
-        hv_vbs=hv_vbs,
+        relhv=rel_hv(hv_norm, hv_norm[:, [sbs_column]], hv_norm.max(axis=1, keepdims=True)),
+        sbs_algorithm=algorithms[sbs_column],
     )
 
 
@@ -351,5 +361,5 @@ def emit_relert_table(path, table: RelErtTable) -> None:
     _write_csv(
         path,
         ["function", "dimension", *table.algorithms],
-        ([f, d, *(repr(table.relert[(f, d, a)]) for a in table.algorithms)] for f, d in table.configs),
+        ([f, d, *(repr(float(x)) for x in row)] for (f, d), row in zip(table.configs, table.relert)),
     )

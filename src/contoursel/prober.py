@@ -148,6 +148,8 @@ def probe_grid_moo(
 def normalize(field) -> np.ndarray:
     """Rescale a field to [0, 1]; a constant field becomes all 0.5."""
     vals = np.asarray(field, dtype=float)
+    if vals.size == 0:
+        raise ContractError(f"cannot normalize an empty field of shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise DataError("cannot normalize a field with NaN or inf values")
     lo = vals.min()
@@ -170,6 +172,8 @@ def quantize_levels(field, levels: int) -> np.ndarray:
     """
     require_integer("levels", levels, 0)
     vals = np.asarray(field, dtype=float)
+    if vals.size == 0:
+        raise ContractError(f"quantize_levels expects a nonempty field, got shape {vals.shape}")
     if not (vals.min() >= 0.0 and vals.max() <= 1.0):
         raise ContractError("quantize_levels expects a field normalized to [0, 1]")
     if levels == 0:
@@ -293,8 +297,8 @@ def write_pgm(field, path) -> None:
     usual top-down image convention.  Output bytes are platform-independent.
     """
     vals = np.asarray(field, dtype=float)
-    if vals.ndim != 2:
-        raise ContractError(f"write_pgm expects a 2-D field, got shape {vals.shape}")
+    if vals.ndim != 2 or vals.size == 0:
+        raise ContractError(f"write_pgm expects a nonempty 2-D field, got shape {vals.shape}")
     if not (vals.min() >= 0.0 and vals.max() <= 1.0):
         raise DataError("write_pgm expects a normalized field")
     pixels = np.floor(np.flipud(vals) * 255.0 + 0.5).astype(np.uint8)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from contoursel import perfdata
 from contoursel.errors import ContractError, DataError, ParseError
 from contoursel.perfdata import (
     MooHvRecord,
@@ -61,6 +62,59 @@ def nondominated_mask_oracle(points):
     return keep
 
 
+def relert_oracle(erts, penalty_override=None):
+    """Independent per-key loops over the ERT dict, as relert_matrix ran
+    before the table became a matrix.  Returns the kept configurations, the
+    algorithms, relERT per (function, dimension, algorithm), the penalty, the
+    per-algorithm means, the SBS and the VBS mean."""
+    algorithms = tuple(sorted({a for (_, _, a) in erts}))
+    kept, relert, undefined = [], {}, []
+    for f, d in sorted({(f, d) for (f, d, _) in erts}):
+        values = {a: erts.get((f, d, a)) for a in algorithms}
+        finite = [v for v in values.values() if v is not None]
+        if not finite:
+            continue
+        best = min(finite)
+        kept.append((f, d))
+        for a, v in values.items():
+            if v is None:
+                undefined.append((f, d, a))
+            else:
+                relert[(f, d, a)] = v / best
+    penalty = penalty_override if penalty_override is not None else 10.0 * max(relert.values())
+    for key in undefined:
+        relert[key] = penalty
+    means = {a: float(np.mean([relert[(f, d, a)] for f, d in kept])) for a in algorithms}
+    sbs_algorithm = min(a for a, m in means.items() if m == min(means.values()))
+    vbs = float(np.mean([min(relert[(f, d, a)] for a in algorithms) for f, d in kept]))
+    return tuple(kept), algorithms, relert, penalty, means, sbs_algorithm, vbs
+
+
+def moo_table_oracle(records, hv_best):
+    """Independent per-key loops over the MOO records, as build_moo_table ran
+    before the table became a matrix.  Returns the instances, the
+    algorithms, hv_norm and relHV per (instance, algorithm), and the SBS."""
+    groups = {}
+    for r in records:
+        groups.setdefault((r.instance, r.algorithm), []).append(r.hv)
+    instances = tuple(sorted({i for i, _ in groups}))
+    algorithms = tuple(sorted({a for _, a in groups}))
+    hv_norm = {(i, a): float(np.mean(groups[(i, a)])) / hv_best[i] for i in instances for a in algorithms}
+    means = {a: float(np.mean([hv_norm[(i, a)] for i in instances])) for a in algorithms}
+    sbs_algorithm = min(a for a, m in means.items() if m == max(means.values()))
+    relhv = {
+        (i, a): rel_hv(hv_norm[(i, a)], hv_norm[(i, sbs_algorithm)], max(hv_norm[(i, b)] for b in algorithms))
+        for i in instances
+        for a in algorithms
+    }
+    return instances, algorithms, hv_norm, relhv, sbs_algorithm
+
+
+def cell(matrix, rows, columns, row, column):
+    """The entry of a labelled performance matrix."""
+    return matrix[rows.index(row), columns.index(column)]
+
+
 class TestErt:
     def test_mixed_successes(self):
         records = [
@@ -95,8 +149,9 @@ class TestRelErt:
     def test_direct_formula(self):
         erts = {("f", 2, "a"): 100.0, ("f", 2, "b"): 250.0}
         t = relert_matrix(erts)
-        assert t.relert[("f", 2, "a")] == 1.0
-        assert t.relert[("f", 2, "b")] == 2.5
+        assert t.relert.dtype == np.float64 and t.relert.shape == (1, 2)
+        assert cell(t.relert, t.configs, t.algorithms, ("f", 2), "a") == 1.0
+        assert cell(t.relert, t.configs, t.algorithms, ("f", 2), "b") == 2.5
 
     def test_best_is_one_per_config(self):
         erts = {
@@ -107,7 +162,7 @@ class TestRelErt:
         }
         t = relert_matrix(erts)
         for f, d in t.configs:
-            assert min(t.relert[(f, d, a)] for a in t.algorithms) == 1.0
+            assert t.row(f, d).min() == 1.0
 
     def test_penalty_ten_times_max(self):
         erts = {
@@ -117,22 +172,37 @@ class TestRelErt:
             ("g", 2, "b"): 10.0,
         }
         t = relert_matrix(erts)
-        assert t.relert[("f", 2, "b")] == pytest.approx(3669.03)
+        assert cell(t.relert, t.configs, t.algorithms, ("f", 2), "b") == pytest.approx(3669.03)
         assert t.penalty == pytest.approx(36_690.3)
-        assert t.relert[("g", 2, "a")] == t.penalty
+        assert cell(t.relert, t.configs, t.algorithms, ("g", 2), "a") == t.penalty
 
     def test_penalty_override(self):
         erts = {("f", 2, "a"): 10.0, ("f", 2, "b"): None}
         t = relert_matrix(erts, penalty_override=36_690.3)
-        assert t.relert[("f", 2, "b")] == 36_690.3
+        assert cell(t.relert, t.configs, t.algorithms, ("f", 2), "b") == 36_690.3
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, 0, 0.5, float("inf"), "x", True])
+    def test_malformed_penalty_override_rejected(self, bad):
+        with pytest.raises(ContractError, match="penalty_override"):
+            relert_matrix({("f", 2, "a"): 10.0, ("f", 2, "b"): None}, penalty_override=bad)
+
+    def test_cell_without_runs_rejected(self):
+        # a missing cell is not a failed run: it has no ERT to impute
+        with pytest.raises(DataError, match=r"\('f', 2, 'b'\)"):
+            relert_matrix({("f", 2, "a"): 10.0, ("g", 2, "b"): 7.0})
+
+    def test_unknown_row_rejected(self):
+        t = relert_matrix({("f", 2, "a"): 10.0, ("g", 2, "a"): None})
+        with pytest.raises(DataError, match="'g', 2"):
+            t.row("g", 2)
 
     def test_scaling_invariance(self):
         erts = {("f", 2, "a"): 123.0, ("f", 2, "b"): 456.0, ("f", 2, "c"): 789.0}
         scaled = {k: v * 17.5 for k, v in erts.items()}
         a = relert_matrix(erts)
         b = relert_matrix(scaled)
-        for key in a.relert:
-            assert a.relert[key] == pytest.approx(b.relert[key])
+        assert a.relert.shape == b.relert.shape == (1, 3)
+        assert a.relert == pytest.approx(b.relert)
 
     def test_dead_config_dropped(self, caplog):
         erts = {
@@ -295,6 +365,11 @@ class TestReferencePoint:
         with pytest.raises(DataError):
             reference_point([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_front_rejected(self, bad):
+        with pytest.raises(DataError, match="NaN or inf"):
+            reference_point([[(1.0, bad)], [(2.0, 1.0)]])
+
 
 class TestMooTable:
     def make_records(self):
@@ -315,17 +390,34 @@ class TestMooTable:
         table = build_moo_table(self.make_records(), hv_best={"i1": 1.0, "i2": 1.0})
         # means over instances: a -> (0.85 + 0.2)/2 = 0.525, b -> (0.5 + 0.8)/2 = 0.65
         assert table.sbs_algorithm == "b"
-        assert table.relhv("i1", "a") == pytest.approx(1.0)  # a is VBS on i1
-        assert table.relhv("i1", "b") == pytest.approx(0.0, abs=1e-6)
-        assert table.relhv("i2", "a") < 0.0  # far worse than SBS on i2
+        relhv = table.relhv
+        assert relhv.dtype == np.float64 and relhv.shape == (2, 2)
+        assert cell(relhv, table.instances, table.algorithms, "i1", "a") == pytest.approx(1.0)  # VBS on i1
+        assert cell(relhv, table.instances, table.algorithms, "i1", "b") == pytest.approx(0.0, abs=1e-6)
+        assert cell(relhv, table.instances, table.algorithms, "i2", "a") < 0.0  # far worse than SBS on i2
 
     def test_normalization_by_best_known(self):
         table = build_moo_table(self.make_records(), hv_best={"i1": 2.0, "i2": 1.0})
-        assert table.hv_norm[("i1", "a")] == pytest.approx(0.425)
+        assert table.hv_norm.dtype == np.float64 and table.hv_norm.shape == (2, 2)
+        assert cell(table.hv_norm, table.instances, table.algorithms, "i1", "a") == pytest.approx(0.425)
 
     def test_missing_best_rejected(self):
         with pytest.raises(DataError):
             build_moo_table(self.make_records(), hv_best={"i1": 1.0})
+
+    def test_cell_without_runs_rejected(self):
+        records = [r for r in self.make_records() if (r.instance, r.algorithm) != ("i2", "a")]
+        with pytest.raises(DataError, match=r"\(i2, a\)"):
+            build_moo_table(records, hv_best={"i1": 1.0, "i2": 1.0})
+
+    def test_no_records_rejected(self):
+        with pytest.raises(DataError, match="no MOO run records"):
+            build_moo_table([], hv_best={})
+
+    def test_unknown_row_rejected(self):
+        table = build_moo_table(self.make_records(), hv_best={"i1": 1.0, "i2": 1.0})
+        with pytest.raises(DataError, match="i3"):
+            table.relhv_row("i3")
 
     @pytest.mark.parametrize("where, value", [("hv", np.nan), ("hv", np.inf), ("best", np.nan), ("best", np.inf)])
     def test_nonfinite_hv_rejected(self, where, value):
@@ -337,6 +429,90 @@ class TestMooTable:
             hv_best["i2"] = value
         with pytest.raises(DataError, match="finite"):
             build_moo_table(records, hv_best)
+
+
+# portfolio names whose sorted order differs from the drawn order; coarse
+# values make ties within a row and between column means
+_names = st.permutations(["zeta", "alpha", "mid", "beta", "omega"])
+_ert = st.none() | st.sampled_from([1.0, 3.0, 10.0]) | st.floats(1.0, 1e6)
+_hv = st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 2.0)
+
+
+@st.composite
+def ert_tables(draw):
+    """A complete ERT table; about one configuration in four is dead (no
+    algorithm succeeded).  Up to 12 rows, because numpy sums 8 or more
+    values pairwise and fewer in a plain loop."""
+    algorithms = draw(_names)[: draw(st.integers(1, 5))]
+    erts = {}
+    for i in range(draw(st.integers(1, 12))):
+        dead = draw(st.integers(0, 3)) == 0
+        for a in algorithms:
+            erts[(f"f{i // 2}", 2 + i % 2, a)] = None if dead else draw(_ert)
+    return erts
+
+
+@st.composite
+def moo_runs(draw):
+    """MOO run records with 1-3 repetitions per cell, in a drawn order."""
+    algorithms = draw(_names)[: draw(st.integers(1, 5))]
+    instances = [f"i{k}" for k in range(draw(st.integers(1, 4)))]
+    records = [
+        MooHvRecord(a, i, rep, draw(_hv))
+        for i in instances
+        for a in algorithms
+        for rep in range(draw(st.integers(1, 3)))
+    ]
+    hv_best = {i: draw(st.sampled_from([1.0, 0.5]) | st.floats(0.1, 10.0)) for i in instances}
+    return draw(st.permutations(records)), hv_best
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype == np.float64 and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMatricesAgainstOracles:
+    @given(ert_tables(), st.none() | st.floats(1.0, 1e6))
+    def test_relert_matrix_matches_oracle_bit_for_bit(self, erts, penalty_override):
+        if all(v is None for v in erts.values()):
+            with pytest.raises(DataError):
+                relert_matrix(erts, penalty_override)
+            return
+        configs, algorithms, relert, penalty, means, sbs_algorithm, vbs = relert_oracle(erts, penalty_override)
+        t = relert_matrix(erts, penalty_override)
+        assert t.configs == configs and t.algorithms == algorithms
+        rows = [[relert[(f, d, a)] for a in algorithms] for f, d in configs]
+        assert same_bits(t.relert, rows)
+        assert all(same_bits(t.row(f, d), row) for (f, d), row in zip(configs, rows))
+        assert repr(t.penalty) == repr(float(penalty))
+        # column means add in np.mean's order, so a near tie resolves alike
+        assert same_bits(perfdata._column_means(t.relert), [means[a] for a in algorithms])
+        assert sbs(t) == sbs_algorithm
+        assert type(vbs_mean(t)) is float and repr(vbs_mean(t)) == repr(vbs)
+
+    @given(ert_tables(), st.data())
+    def test_relert_row_invariant_to_scaling_one_configuration(self, erts, data):
+        configs = sorted({(f, d) for f, d, _ in erts})
+        f, d = data.draw(st.sampled_from(configs))
+        scale = 2.0 ** data.draw(st.integers(-20, 20))
+        scaled = {k: v * scale if k[:2] == (f, d) and v is not None else v for k, v in erts.items()}
+        if all(v is None for v in erts.values()):
+            return
+        a, b = relert_matrix(erts), relert_matrix(scaled)
+        assert a.configs == b.configs and same_bits(a.relert, b.relert)
+
+    @given(moo_runs())
+    def test_build_moo_table_matches_oracle_bit_for_bit(self, runs):
+        records, hv_best = runs
+        instances, algorithms, hv_norm, relhv, sbs_algorithm = moo_table_oracle(records, hv_best)
+        table = build_moo_table(records, hv_best)
+        assert table.instances == instances and table.algorithms == algorithms
+        assert same_bits(table.hv_norm, [[hv_norm[(i, a)] for a in algorithms] for i in instances])
+        relhv_rows = [[relhv[(i, a)] for a in algorithms] for i in instances]
+        assert same_bits(table.relhv, relhv_rows)
+        assert all(same_bits(table.relhv_row(i), row) for i, row in zip(instances, relhv_rows))
+        assert table.sbs_algorithm == sbs_algorithm
 
 
 class TestCsv:

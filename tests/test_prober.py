@@ -343,3 +343,15 @@ class TestWritePgm:
     def test_rejects_a_stack(self, tmp_path):
         with pytest.raises(ContractError, match="2-D"):
             write_pgm(np.full((5, 4, 4), 0.5), tmp_path / "stack.pgm")
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+@pytest.mark.parametrize("step", ["normalize", "quantize_levels", "write_pgm"])
+def test_empty_field_rejected(step, shape, tmp_path):
+    calls = {
+        "normalize": normalize,
+        "quantize_levels": lambda f: quantize_levels(f, 4),
+        "write_pgm": lambda f: write_pgm(f, tmp_path / "empty.pgm"),
+    }
+    with pytest.raises(ContractError, match="empty"):
+        calls[step](np.zeros(shape))
