@@ -1,9 +1,10 @@
-"""Exception types and integer checks shared across the toolkit.
+"""Exception types and number checks shared across the toolkit.
 
 Library code raises the most specific class that applies instead of a bare
 ValueError, so callers can tell bad input from bad data and from divergence.
 """
 
+import math
 import numbers
 
 
@@ -39,6 +40,11 @@ def is_integer(value, minimum: int | None = None) -> bool:
         and not isinstance(value, bool)
         and (minimum is None or value >= minimum)
     )
+
+
+def is_real(value) -> bool:
+    """True for a finite Python or numpy real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and -math.inf < value < math.inf
 
 
 def require_integer(name: str, value, minimum: int) -> None:

@@ -10,10 +10,12 @@ PATCH_MATRIX_BYTES, so lowering never holds a nine-fold copy of a whole
 batch.  That keeps full-precision CPU training fast enough for the
 experiment harness without any framework dependency.
 
-Two model variants exist: "combined" consumes the five views of a stack as
-input channels, "separate" pushes each view through a shared encoder and
-concatenates the per-view embeddings.  A bi-objective model simply encodes
-two stacks and concatenates their embeddings before the regression head.
+Two model variants exist: "combined" consumes the views of a stack as the
+input channels of one image, "separate" turns each view into a 1-channel
+image.  A bi-objective model takes two stacks (slots) of one shape per
+sample.  Either way all images of a batch pass through one shared encoder
+in a single call, and the embeddings are concatenated in slot order and
+then view order before the regression head.
 """
 
 from __future__ import annotations
@@ -21,13 +23,11 @@ from __future__ import annotations
 import base64
 import functools
 import json
-import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ContractError, DataError, ParseError, TrainingError, is_integer, require_integer
+from .errors import ContractError, DataError, ParseError, TrainingError, is_integer, is_real, require_integer
 
 MODEL_FORMAT = "contoursel.model"
 MODEL_FORMAT_VERSION = 1
@@ -350,7 +350,7 @@ class TrainConfig:
 
     def __post_init__(self):
         lr = self.learning_rate
-        if not (isinstance(lr, numbers.Real) and 0 < lr < math.inf):
+        if not (is_real(lr) and lr > 0):
             raise ContractError(f"learning_rate must be finite and positive, got {lr!r}")
         require_integer("epochs", self.epochs, 1)
         require_integer("batch_size", self.batch_size, 1)
@@ -395,7 +395,7 @@ def _head(spec: ModelSpec, rng) -> Sequential:
 
 
 class Model:
-    """Encoder(s) + regression head predicting per-solver performance."""
+    """One shared encoder + regression head predicting per-solver performance."""
 
     def __init__(self, spec: ModelSpec, seed: int):
         self.spec = spec
@@ -406,70 +406,54 @@ class Model:
     def params(self) -> list[Param]:
         return self.encoder.params + self.head.params
 
-    def zero_grads(self):
-        for p in self.params():
-            p.grad[...] = 0.0
-
-    def _encode(self, stacks, n):
-        """Embed each stack; returns (z (N, embedding_width), caches).
-
-        Stacks arrive view-first (n, k, r, r); spatial layers run
-        channel-last internally.
-        """
-        zs = []
-        caches = []
-        for x in stacks:
-            x = np.asarray(x, dtype=float)
-            if x.ndim != 4 or x.shape[1] != self.spec.view_count:
-                raise ContractError(
-                    f"expected stacks of shape (n, {self.spec.view_count}, r, r), got {x.shape}"
-                )
-            if x.shape[0] != n:
-                raise ContractError(f"stack holds {x.shape[0]} sample(s) but {n} dimension(s) were given")
-            if not np.all(np.isfinite(x)):
-                raise DataError("stacks must be finite")
-            if self.spec.variant == "separate":
-                flat = x.reshape(n * self.spec.view_count, *x.shape[2:])[..., None]
-                z, cache = self.encoder.forward(flat)
-                z = z.reshape(n, self.spec.view_count * z.shape[1])
-            else:
-                z, cache = self.encoder.forward(np.ascontiguousarray(x.transpose(0, 2, 3, 1)))
-            zs.append(z)
-            caches.append(cache)
-        return np.concatenate(zs, axis=1), caches
-
     def forward_batch(self, stacks, dims):
-        """Predict (N, output_count) from stacks ((N, k, r, r) per slot) and
-        the raw problem dimension per sample."""
-        if len(stacks) != self.spec.stack_count:
-            raise ContractError(
-                f"model expects {self.spec.stack_count} stack(s), got {len(stacks)}"
-            )
+        """Predict (N, output_count) from stacks and the raw problem dimension
+        per sample.
+
+        stacks holds stack_count view-first arrays of one shape (N, k, r, r),
+        one per slot; paired stacks must share a shape.  They are copied once
+        into channel-last images, one k-channel image per slot ("combined")
+        or one 1-channel image per view ("separate"), and the encoder runs
+        once over the whole batch.  Its embeddings reach the head in slot
+        order and then view order, so two slots of k views embed exactly as
+        one slot of 2k views.
+        """
+        spec = self.spec
+        if len(stacks) != spec.stack_count:
+            raise ContractError(f"model expects {spec.stack_count} stack(s), got {len(stacks)}")
         dims = np.asarray(dims, dtype=float).reshape(-1, 1)
         if not np.all(np.isfinite(dims)):
             raise DataError("problem dimensions must be finite")
-        z, enc_caches = self._encode(stacks, len(dims))
+        stacks = [np.asarray(x, dtype=float) for x in stacks]
+        for x in stacks:
+            if x.ndim != 4 or x.shape[1] != spec.view_count:
+                raise ContractError(f"expected stacks of shape (n, {spec.view_count}, r, r), got {x.shape}")
+            if x.shape[0] != len(dims):
+                raise ContractError(
+                    f"stack holds {x.shape[0]} sample(s) but {len(dims)} dimension(s) were given"
+                )
+            if x.shape != stacks[0].shape:
+                raise ContractError(f"paired stacks must share a shape, got {stacks[0].shape} and {x.shape}")
+            if not np.all(np.isfinite(x)):
+                raise DataError("stacks must be finite")
+        views = [x[..., None] if spec.variant == "separate" else x.transpose(0, 2, 3, 1) for x in stacks]
+        # np.stack makes the one copy; passed as a temporary, it is freed
+        # once the first convolution has padded it
+        z, enc_cache = self.encoder.forward(np.stack(views, axis=1).reshape(-1, *views[0].shape[-3:]))
+        z = z.reshape(len(dims), spec.embedding_width)
         h, head_caches = self.head.forward(np.concatenate([z, dims * DIMENSION_SCALE], axis=1))
-        return h, (enc_caches, head_caches, z.shape[1])
+        return h, (enc_cache, head_caches)
 
     def backward_batch(self, gpred, cache):
         """Accumulate parameter gradients; augments .grad on every Param."""
-        enc_caches, head_caches, z_width = cache
+        enc_cache, head_caches = cache
         g = self.head.backward(gpred, head_caches)
-        gz = g[:, :z_width]  # dimension feature carries no parameters
-        for g_stack, enc_cache in zip(np.split(gz, self.spec.stack_count, axis=1), enc_caches):
-            if self.spec.variant == "separate":
-                g_stack = g_stack.reshape(len(g_stack) * self.spec.view_count, -1)
-            self.encoder.backward(g_stack, enc_cache)
-
-    def predict(self, stacks, dim) -> np.ndarray:
-        """Single-sample convenience wrapper: stacks are (k, r, r) arrays."""
-        batched = [np.asarray(s)[None, ...] for s in stacks]
-        pred, _ = self.forward_batch(batched, np.array([dim]))
-        return pred[0]
+        # the last column, the dimension feature, carries no parameters
+        self.encoder.backward(g[:, :-1].reshape(-1, self.spec.encoder_channels[-1]), enc_cache)
 
     def loss_and_grads(self, stacks, dims, targets):
-        self.zero_grads()
+        for p in self.params():
+            p.grad[...] = 0.0
         pred, cache = self.forward_batch(stacks, dims)
         loss, gpred = mse_loss(pred, targets)
         self.backward_batch(gpred, cache)
@@ -480,25 +464,26 @@ class Model:
 # Optimizer and the training loop
 
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 class Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETAS
         correction = np.sqrt(1.0 - b2**self.t) / (1.0 - b1**self.t)
         for p, m, v in zip(self.params, self.m, self.v):
             m += (1.0 - b1) * (p.grad - m)
             v += (1.0 - b2) * (p.grad * p.grad - v)
-            p.value -= self.lr * correction * m / (np.sqrt(v) + self.eps)
+            p.value -= self.lr * correction * m / (np.sqrt(v) + ADAM_EPS)
 
 
 def transform_targets(kind: str, values: np.ndarray, clip_max: float | None = None) -> np.ndarray:
@@ -509,7 +494,7 @@ def transform_targets(kind: str, values: np.ndarray, clip_max: float | None = No
             raise DataError("relERT values must be positive")
         out = np.log10(values)
         if clip_max is not None:
-            if not (isinstance(clip_max, numbers.Real) and 0 < clip_max < math.inf):
+            if not (is_real(clip_max) and clip_max > 0):
                 raise ContractError(f"clip_max must be finite and positive, got {clip_max!r}")
             out = np.minimum(out, np.log10(clip_max))
         return out
@@ -563,20 +548,18 @@ def train(model: Model, dataset: Dataset, config: TrainConfig):
     rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0xFFFFFFFFFFFFFFFF, 0x7EA1]))
     opt = Adam(model.params(), config.learning_rate)
     k = model.spec.view_count
+    views = np.broadcast_to(np.arange(k), (n, k))
     losses = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         if config.augment:
-            perms = np.argsort(rng.random((n, k)), axis=1)
+            views = np.argsort(rng.random((n, k)), axis=1)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            stacks = [s[batch] for s in dataset.stacks]
-            if config.augment:
-                # same view permutation across stack slots keeps paired
-                # windows aligned
-                sel = perms[batch]
-                stacks = [s[np.arange(len(batch))[:, None], sel] for s in stacks]
+            # one view order per sample for every slot keeps paired windows
+            # aligned
+            stacks = [s[batch[:, None], views[batch]] for s in dataset.stacks]
             loss = model.loss_and_grads(stacks, dataset.dims[batch], dataset.targets[batch])
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")

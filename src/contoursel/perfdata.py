@@ -18,12 +18,11 @@ import csv
 import itertools
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError, ParseError
+from .errors import ContractError, DataError, ParseError, is_real
 
 log = logging.getLogger(__name__)
 
@@ -120,11 +119,7 @@ def relert_matrix(erts: dict, penalty_override: float | None = None) -> RelErtTa
     to pin the constant instead, e.g. for parity with externally published
     tables.  A configuration no algorithm solved is dropped.
     """
-    if penalty_override is not None and not (
-        isinstance(penalty_override, numbers.Real)
-        and not isinstance(penalty_override, bool)
-        and 1 <= penalty_override < math.inf
-    ):
+    if penalty_override is not None and not (is_real(penalty_override) and penalty_override >= 1):
         raise ContractError(f"penalty_override must be a finite real >= 1, got {penalty_override!r}")
     for key, v in erts.items():
         if v is not None and not (math.isfinite(v) and v > 0):
@@ -183,14 +178,28 @@ def nondominated_2d(points) -> np.ndarray:
     return keep
 
 
+def _reference(ref) -> np.ndarray:
+    """ref as a float64 pair; DataError unless it is exactly two finite numbers."""
+    try:
+        pair = np.asarray(ref, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"a reference point is two finite numbers, not {ref!r}") from exc
+    if pair.shape != (2,) or not np.isfinite(pair).all():
+        raise DataError(f"a reference point is two finite numbers, not {ref!r}")
+    return pair
+
+
 def hypervolume_2d(points, ref) -> float:
     """Exact dominated area of a 2-D minimization front w.r.t. a reference point.
 
     Points not strictly dominating the reference contribute nothing; the
     remaining nondominated points are swept in ascending first objective.
+    A non-finite point or reference raises DataError.
     """
-    ref = np.asarray(ref, dtype=float)
+    ref = _reference(ref)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not np.isfinite(pts).all():
+        raise DataError("hypervolume_2d needs finite points")
     pts = pts[(pts[:, 0] < ref[0]) & (pts[:, 1] < ref[1])]
     if len(pts) == 0:
         return 0.0
@@ -211,9 +220,11 @@ def rel_hv(hv, hv_sbs, hv_vbs, eps: float = RELHV_EPSILON):
 
 def reference_point(fronts, prespecified=None) -> tuple[float, float]:
     """Per-instance HV reference: the least favorable corner of all fronts,
-    inflated by 10%; a prespecified point passes through unchanged."""
+    inflated by 10%; a prespecified point, two finite numbers, passes
+    through unchanged."""
     if prespecified is not None:
-        return (float(prespecified[0]), float(prespecified[1]))
+        ref = _reference(prespecified)
+        return (float(ref[0]), float(ref[1]))
     stacked = [np.asarray(f, dtype=float).reshape(-1, 2) for f in fronts if len(f)]
     if not stacked:
         raise DataError("cannot derive a reference point from empty fronts")
@@ -293,20 +304,27 @@ def _write_csv(path, header, rows) -> None:
 
 def _read_csv(path, header, parse_row) -> list:
     """parse_row over every non-blank row below the expected header; a row
-    it rejects raises ParseError naming path:line."""
+    it rejects, a row the csv module cannot split and bytes that are not
+    UTF-8 raise ParseError naming the path, and the line where it is known."""
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        got = next(reader, None)
-        if got != header:
-            raise ParseError(f"{path}: expected header {header}, got {got}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                records.append(parse_row(row))
-            except (ValueError, ContractError) as exc:
-                raise ParseError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
+        try:
+            got = next(reader, None)
+            if got != header:
+                raise ParseError(f"{path}: expected header {header}, got {got}")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    records.append(parse_row(row))
+                except (ValueError, ContractError) as exc:
+                    raise ParseError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            # the decoder reads ahead in blocks, so the line is unknown
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     return records
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError, require_integer
+from .errors import ContractError, DataError, is_real, require_integer
 from .suite import (
     DOMAIN_HI,
     DOMAIN_LO,
@@ -205,8 +205,8 @@ def sample_window(
     lam: float, rng: np.random.Generator, domain: tuple[float, float] = (DOMAIN_LO, DOMAIN_HI)
 ) -> Window:
     """Uniformly place a window with sides lam * domain side inside the domain."""
-    if not 0.0 < lam <= 1.0:
-        raise ContractError("window scale must lie in (0, 1]")
+    if not (is_real(lam) and 0.0 < lam <= 1.0):
+        raise ContractError(f"window scale must be a real number in (0, 1], got {lam!r}")
     lo_d, hi_d = domain
     side = lam * (hi_d - lo_d)
     corner = rng.uniform(lo_d, hi_d - side, size=2)

@@ -252,6 +252,16 @@ def _to_unit(xs):
     return (xs - DOMAIN_LO) / (DOMAIN_HI - DOMAIN_LO)
 
 
+def _zdt_f2(code, f1, g):
+    """Second ZDT objective from f1 and the distance function g."""
+    ratio = f1 / g
+    if code == "zdt1":
+        return g * (1.0 - np.sqrt(ratio))
+    if code == "zdt2":
+        return g * (1.0 - ratio**2)
+    return g * (1.0 - np.sqrt(ratio) - ratio * np.sin(10.0 * np.pi * f1))  # zdt3
+
+
 def evaluate_moo_batch(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
     """Evaluate a (n, 2) batch; returns an (n, 2) array of objective pairs."""
     if inst.id.kind != "moo":
@@ -267,15 +277,7 @@ def evaluate_moo_batch(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
         return np.stack([f1, f2], axis=-1)
     u = _to_unit(xs)
     f1 = u[:, 0]
-    g = 1.0 + 9.0 * u[:, 1]
-    ratio = f1 / g
-    if code == "zdt1":
-        f2 = g * (1.0 - np.sqrt(ratio))
-    elif code == "zdt2":
-        f2 = g * (1.0 - ratio**2)
-    else:  # zdt3
-        f2 = g * (1.0 - np.sqrt(ratio) - ratio * np.sin(10.0 * np.pi * f1))
-    return np.stack([f1, f2], axis=-1)
+    return np.stack([f1, _zdt_f2(code, f1, 1.0 + 9.0 * u[:, 1])], axis=-1)
 
 
 def evaluate_moo(inst: ProblemInstance, x: np.ndarray) -> tuple[float, float]:
@@ -303,13 +305,8 @@ def pareto_front_points(inst: ProblemInstance, n: int = 2001) -> np.ndarray:
         gap = np.sum((b - a) ** 2)
         pts = np.stack([t**2 * gap, (1.0 - t) ** 2 * gap], axis=-1)
         return pts
-    if code == "zdt1":
-        pts = np.stack([t, 1.0 - np.sqrt(t)], axis=-1)
-    elif code == "zdt2":
-        pts = np.stack([t, 1.0 - t**2], axis=-1)
-    else:
-        f2 = 1.0 - np.sqrt(t) - t * np.sin(10.0 * np.pi * t)
-        pts = np.stack([t, f2], axis=-1)
+    pts = np.stack([t, _zdt_f2(code, t, 1.0)], axis=-1)
+    if code == "zdt3":
         pts = pts[nondominated_2d(pts)]
     return pts
 

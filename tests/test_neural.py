@@ -242,8 +242,32 @@ class TestModelShapes:
                          stack_count=2, encoder_channels=(2, 3))
         model = Model(spec, seed=0)
         rng = np.random.default_rng(1)
-        pred = model.predict([rng.random((5, 8, 8)), rng.random((5, 8, 8))], 2.0)
-        assert pred.shape == (3,)
+        pred, _ = model.forward_batch([rng.random((1, 5, 8, 8)), rng.random((1, 5, 8, 8))], np.array([2.0]))
+        assert pred[0].shape == (3,)
+
+    def test_paired_stacks_of_different_shapes_rejected(self):
+        spec = ModelSpec(variant="separate", input_resolution=8, output_count=3,
+                         stack_count=2, encoder_channels=(2, 3))
+        model = Model(spec, seed=0)
+        with pytest.raises(ContractError, match="share a shape"):
+            model.forward_batch([np.zeros((1, 5, 8, 8)), np.zeros((1, 5, 16, 16))], np.array([2.0]))
+
+    def test_two_slots_predict_as_one_slot_of_concatenated_views(self):
+        """Embeddings run in slot order and then view order, so a two-slot
+        separate model is a one-slot model over twice the views."""
+        two = Model(ModelSpec(variant="separate", input_resolution=8, output_count=3,
+                              stack_count=2, encoder_channels=(2, 3)), seed=0)
+        one = Model(ModelSpec(variant="separate", input_resolution=8, output_count=3,
+                              view_count=10, encoder_channels=(2, 3)), seed=1)
+        for p, q in zip(two.params(), one.params()):
+            q.value[...] = p.value
+        rng = np.random.default_rng(2)
+        a, b = rng.random((3, 5, 8, 8)), rng.random((3, 5, 8, 8))
+        dims = np.array([2.0, 5.0, 10.0])
+        np.testing.assert_array_equal(
+            two.forward_batch([a, b], dims)[0],
+            one.forward_batch([np.concatenate([a, b], axis=1)], dims)[0],
+        )
 
     def test_wrong_stack_count_rejected(self):
         spec = ModelSpec(variant="combined", input_resolution=8, output_count=2,
@@ -364,6 +388,9 @@ class TestGradCheck:
     def test_two_stack_variant(self):
         assert run_grad_check("separate", seed=1, stack_count=2) < 1e-4
 
+    def test_two_stack_combined(self):
+        assert run_grad_check("combined", seed=3, stack_count=2) < 1e-4
+
     def test_residual_encoder(self):
         assert run_grad_check("combined", seed=2, residual_blocks=1) < 1e-4
 
@@ -444,6 +471,7 @@ class TestTraining:
     @pytest.mark.parametrize("field, value", [
         ("epochs", 2.5), ("batch_size", 2.5), ("seed", 1.5), ("seed", True),
         ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", "0.1"),
+        ("learning_rate", True),
         ("augment", "no"), ("augment", 0),
     ])
     def test_malformed_config_field_rejected(self, field, value):
@@ -514,7 +542,7 @@ class TestTransforms:
         with pytest.raises(DataError):
             transform_targets(kind, [1.0, value])
 
-    @pytest.mark.parametrize("clip_max", [0.0, -1.0, np.nan, np.inf, "a"])
+    @pytest.mark.parametrize("clip_max", [0.0, -1.0, np.nan, np.inf, "a", True])
     def test_invalid_clip_max_rejected(self, clip_max):
         with pytest.raises(ContractError, match="clip_max"):
             transform_targets("log10_relert", [1.0, 10.0], clip_max=clip_max)

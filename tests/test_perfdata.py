@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contoursel import perfdata
-from contoursel.errors import ContractError, DataError, ParseError
+from contoursel.errors import ContourselError, ContractError, DataError, ParseError
 from contoursel.perfdata import (
     MooHvRecord,
     RunRecord,
@@ -32,12 +32,17 @@ def rec(alg, fn="sphere", d=2, idx=0, fe=100, success=True):
 
 
 def grid_count_hv(points, ref, cells_per_axis=1000):
-    """Independent oracle: count dominated cell centers on a uniform grid."""
+    """Independent oracle: count dominated cell centers on a uniform grid.
+
+    Returns the estimate and a bound on its error: the dominated region's
+    boundary is a monotone staircase, which crosses at most 2 * cells_per_axis
+    cells, and only a crossed cell can be miscounted.
+    """
     pts = np.asarray(points, float).reshape(-1, 2)
     ref = np.asarray(ref, float)
     pts = pts[(pts[:, 0] < ref[0]) & (pts[:, 1] < ref[1])]
     if len(pts) == 0:
-        return 0.0
+        return 0.0, 0.0
     lo = pts.min(axis=0)
     step = (ref - lo) / cells_per_axis
     c1 = lo[0] + (np.arange(cells_per_axis) + 0.5) * step[0]
@@ -45,7 +50,8 @@ def grid_count_hv(points, ref, cells_per_axis=1000):
     dominated = np.zeros((cells_per_axis, cells_per_axis), dtype=bool)
     for p in pts:
         dominated |= (c1[:, None] >= p[0]) & (c2[None, :] >= p[1])
-    return dominated.sum() * step[0] * step[1]
+    cell = step[0] * step[1]
+    return dominated.sum() * cell, 2 * cells_per_axis * cell
 
 
 def nondominated_mask_oracle(points):
@@ -256,6 +262,11 @@ class TestSbsVbs:
         assert vbs_mean(relert_matrix(erts)) == 1.0
 
 
+# coordinates on a coarse grid produce ties in either objective and exact
+# duplicates; free floats produce general position
+_coordinate = st.integers(0, 4).map(float) | st.floats(0.0, 1.0)
+
+
 class TestHypervolume:
     def test_three_point_staircase(self):
         assert hypervolume_2d([(1, 3), (2, 2), (3, 1)], (4, 4)) == 6.0
@@ -295,13 +306,29 @@ class TestHypervolume:
             pts = rng.random((n, 2))
             ref = (1.1, 1.1)
             exact = hypervolume_2d(pts, ref)
-            approx = grid_count_hv(pts, ref)
+            approx, _ = grid_count_hv(pts, ref)
             assert exact == pytest.approx(approx, rel=0.01)
 
+    @given(st.lists(st.tuples(_coordinate, _coordinate), max_size=30),
+           st.tuples(_coordinate, _coordinate).map(lambda r: (r[0] + 0.5, r[1] + 0.5)))
+    def test_matches_grid_oracle_within_staircase_bound(self, points, ref):
+        """Fronts with ties, exact duplicates and points on or beyond the
+        reference edges."""
+        estimate, bound = grid_count_hv(points, ref, cells_per_axis=256)
+        assert abs(hypervolume_2d(points, ref) - estimate) <= bound + 1e-12
 
-# coordinates on a coarse grid produce ties in either objective and exact
-# duplicates; free floats produce general position
-_coordinate = st.integers(0, 4).map(float) | st.floats(0.0, 1.0)
+    @pytest.mark.parametrize("points, ref", [
+        ([(0.5, 0.5)], (np.nan, 1.0)),
+        ([(0.5, 0.5)], (1.0, np.inf)),
+        ([(0.5, 0.5)], (1.0,)),
+        ([(0.5, 0.5)], (1.0, 1.0, 1.0)),
+        ([(0.5, 0.5)], "ab"),
+        ([(np.nan, 0.5), (0.2, 0.3)], (1.0, 1.0)),
+        ([(0.2, 0.3), (0.5, np.inf)], (1.0, 1.0)),
+    ], ids=["ref-nan", "ref-inf", "ref-short", "ref-long", "ref-text", "point-nan", "point-inf"])
+    def test_nonfinite_or_malformed_input_rejected(self, points, ref):
+        with pytest.raises(DataError):
+            hypervolume_2d(points, ref)
 
 
 class TestNondominated:
@@ -364,6 +391,12 @@ class TestReferencePoint:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             reference_point([])
+
+    @pytest.mark.parametrize("bad", [(np.nan, 1.0), (1.0, -np.inf), (1.0,), (1.0, 2.0, 3.0), "ab", ("a", 1.0)],
+                             ids=["nan", "inf", "short", "long", "text", "text-coordinate"])
+    def test_malformed_prespecified_rejected(self, bad):
+        with pytest.raises(DataError, match="two finite numbers"):
+            reference_point([[(1.0, 1.0)]], prespecified=bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_front_rejected(self, bad):
@@ -571,6 +604,22 @@ class TestCsv:
         with pytest.raises(ParseError, match=f"{path.name}:3:"):
             ingest_moo_hv(path)
 
+    def test_invalid_utf8_names_path(self, tmp_path):
+        path = tmp_path / "hv.csv"
+        path.write_bytes(b"algorithm,instance,repetition,hv\na,zdt1_0,0,0.5\n\xff\xfe,zdt1_0,1,0.5\n")
+        with pytest.raises(ParseError, match=f"{path.name}: not UTF-8"):
+            ingest_moo_hv(path)
+
+    def test_overlong_field_names_line(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text(
+            "algorithm,function,dimension,instance,evaluations,success\n"
+            "a,sphere,2,0,100,1\n"
+            f"\"{'x' * 140_000}\",sphere,2,0,100,1\n"
+        )
+        with pytest.raises(ParseError, match=f"{path.name}:3:"):
+            ingest_runs(path)
+
     def test_relert_table_emission(self, tmp_path):
         t = relert_matrix({("f", 2, "a"): 10.0, ("f", 2, "b"): 25.0})
         path = tmp_path / "relert.csv"
@@ -578,3 +627,32 @@ class TestCsv:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "function,dimension,a,b"
         assert lines[1] == "f,2,1.0,2.5"
+
+
+# fields a hand-edited or damaged CSV file may hold: quotes, NULs, a field
+# past the csv module's 131,072-character limit, numbers that do not parse
+# or do not fit, and any short text
+_csv_field = st.sampled_from([
+    '"', '""', '"a,b"', 'a"b', "\0", "x" * 140_000, "nan", "inf", "-inf", "1e400", "0", "-1", "2.5",
+    " 3", "1_0", "0x10", "1" * 5000, "", "\r", "\n",
+]) | st.text(max_size=6) | st.integers(-(10**20), 10**20).map(str)
+_csv_line = st.lists(_csv_field, max_size=7).map(",".join).map(lambda t: t.encode("utf-8", "surrogatepass"))
+_csv_body = st.lists(_csv_line | st.binary(max_size=24), max_size=6)
+
+
+@given(
+    st.sampled_from([perfdata.RUN_CSV_HEADER, perfdata.MOO_CSV_HEADER]),
+    _csv_body,
+    st.sampled_from([b"\n", b"\r\n", b"\r"]),
+)
+def test_fuzzed_csv_raises_only_toolkit_errors(tmp_path_factory, header, body, newline):
+    """Both ingesters return records or raise a ContourselError, whatever
+    follows a valid header."""
+    path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+    path.write_bytes(newline.join([",".join(header).encode(), *body]))
+    for ingest in (ingest_runs, ingest_moo_hv):
+        try:
+            records = ingest(path)
+        except ContourselError:
+            continue
+        assert isinstance(records, list)

@@ -228,10 +228,9 @@ class TestSampleWindow:
                 assert w.lo[k] + w.side[k] <= 5.0
 
     def test_invalid_lambda(self):
-        with pytest.raises(ContractError):
-            sample_window(0.0, np.random.default_rng(0))
-        with pytest.raises(ContractError):
-            sample_window(1.5, np.random.default_rng(0))
+        for lam in (0.0, 1.5, True, "a", None):
+            with pytest.raises(ContractError, match="window scale"):
+                sample_window(lam, np.random.default_rng(0))
 
 
 class TestStacks:
