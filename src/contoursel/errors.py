@@ -7,6 +7,8 @@ ValueError, so callers can tell bad input from bad data and from divergence.
 import math
 import numbers
 
+import numpy as np
+
 
 class ContourselError(Exception):
     """Base class for all toolkit errors."""
@@ -35,9 +37,10 @@ class TrainingError(ContourselError):
 def is_integer(value, minimum: int | None = None) -> bool:
     """True for a Python or numpy integer, not a bool, that is at least
     minimum when one is given."""
+    # type(value) is int first: isinstance against the numbers ABC is over
+    # ten times slower, and each RunRecord makes three of these checks
     return (
-        isinstance(value, numbers.Integral)
-        and not isinstance(value, bool)
+        (type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool))
         and (minimum is None or value >= minimum)
     )
 
@@ -51,3 +54,12 @@ def require_integer(name: str, value, minimum: int) -> None:
     """Raise ContractError unless value is an integer of at least minimum."""
     if not is_integer(value, minimum):
         raise ContractError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def float_array(value, what: str) -> np.ndarray:
+    """value as a float64 array; DataError naming what when numpy cannot
+    convert it (text, ragged nesting, objects)."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what} must be numbers: {exc}") from exc

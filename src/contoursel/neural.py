@@ -27,7 +27,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ContractError, DataError, ParseError, TrainingError, is_integer, is_real, require_integer
+from .errors import (
+    ContractError, DataError, ParseError, TrainingError, float_array, is_integer, is_real, require_integer,
+)
 
 MODEL_FORMAT = "contoursel.model"
 MODEL_FORMAT_VERSION = 1
@@ -233,7 +235,7 @@ class Layer:
 
 
 class Sequential:
-    """A chain of layers: the encoder, a residual branch, the head."""
+    """A chain of layers: the encoder or the head."""
 
     def __init__(self, layers):
         self.layers = list(layers)
@@ -250,20 +252,6 @@ class Sequential:
         for layer, cache in zip(reversed(self.layers), reversed(caches)):
             g = layer.backward(g, cache)
         return g
-
-
-class Residual(Sequential):
-    """relu(branch(x) + x)."""
-
-    def forward(self, x):
-        h, caches = super().forward(x)
-        y, mask = relu_forward(h + x)
-        return y, (caches, mask)
-
-    def backward(self, g, cache):
-        caches, mask = cache
-        g_sum = relu_backward(g, mask)
-        return super().backward(g_sum, caches) + g_sum
 
 
 def _he_conv(rng, name, out_ch, in_ch, need_dx=True):
@@ -288,15 +276,13 @@ class ModelSpec:
     view_count: int = 5
     stack_count: int = 1  # 2 for bi-objective models
     encoder_channels: tuple = (16, 32, 64)
-    residual_blocks: int = 0
     head_widths: tuple = (128,)
     target_transform: str = "log10_relert"
 
     def __post_init__(self):
-        for name, minimum in (("input_resolution", 1), ("output_count", 1), ("view_count", 1),
-                              ("stack_count", 1), ("residual_blocks", 0)):
+        for name in ("input_resolution", "output_count", "view_count", "stack_count"):
             value = getattr(self, name)
-            require_integer(name, value, minimum)
+            require_integer(name, value, 1)
             object.__setattr__(self, name, int(value))
         for name in ("encoder_channels", "head_widths"):
             widths = getattr(self, name)
@@ -361,9 +347,9 @@ class TrainConfig:
 
 
 def _encoder(spec: ModelSpec, rng) -> Sequential:
-    """Conv blocks (conv-maxpool-relu) plus optional residual blocks, then
-    global average pooling.  Output width is independent of the input
-    resolution, so one head serves every probe/input resolution.
+    """Conv blocks (conv-maxpool-relu), then global average pooling.  Output
+    width is independent of the input resolution, so one head serves every
+    probe/input resolution.
 
     Max pooling and ReLU commute, outputs and gradients included, so
     pooling first gives the same model and runs the ReLU on a quarter of
@@ -376,9 +362,6 @@ def _encoder(spec: ModelSpec, rng) -> Sequential:
                    Layer(maxpool2x2_forward, maxpool2x2_backward),
                    Layer(relu_forward, relu_backward)]
         in_ch = out_ch
-    for i in range(spec.residual_blocks):
-        conv_a, conv_b = (_he_conv(rng, f"encoder.res{i}{ab}", in_ch, in_ch) for ab in "ab")
-        layers.append(Residual([conv_a, Layer(relu_forward, relu_backward), conv_b]))
     layers.append(Layer(global_avg_pool_forward, global_avg_pool_backward))
     return Sequential(layers)
 
@@ -421,10 +404,10 @@ class Model:
         spec = self.spec
         if len(stacks) != spec.stack_count:
             raise ContractError(f"model expects {spec.stack_count} stack(s), got {len(stacks)}")
-        dims = np.asarray(dims, dtype=float).reshape(-1, 1)
+        dims = float_array(dims, "problem dimensions").reshape(-1, 1)
         if not np.all(np.isfinite(dims)):
             raise DataError("problem dimensions must be finite")
-        stacks = [np.asarray(x, dtype=float) for x in stacks]
+        stacks = [float_array(x, "a stack") for x in stacks]
         for x in stacks:
             if x.ndim != 4 or x.shape[1] != spec.view_count:
                 raise ContractError(f"expected stacks of shape (n, {spec.view_count}, r, r), got {x.shape}")
@@ -486,18 +469,13 @@ class Adam:
             p.value -= self.lr * correction * m / (np.sqrt(v) + ADAM_EPS)
 
 
-def transform_targets(kind: str, values: np.ndarray, clip_max: float | None = None) -> np.ndarray:
+def transform_targets(kind: str, values: np.ndarray) -> np.ndarray:
     """Map raw metric values into the model's regression space."""
-    values = np.asarray(values, dtype=float)
+    values = float_array(values, "target values")
     if kind == "log10_relert":
-        if not np.all(values > 0):
-            raise DataError("relERT values must be positive")
-        out = np.log10(values)
-        if clip_max is not None:
-            if not (is_real(clip_max) and clip_max > 0):
-                raise ContractError(f"clip_max must be finite and positive, got {clip_max!r}")
-            out = np.minimum(out, np.log10(clip_max))
-        return out
+        if not np.all((values > 0) & (values < np.inf)):
+            raise DataError("relERT values must be positive and finite")
+        return np.log10(values)
     if kind == "relhv_clip":
         if np.any(np.isnan(values)):
             raise DataError("relHV values must not be NaN")
@@ -594,7 +572,7 @@ def save_model(model: Model, path) -> None:
         fh.write("\n")
 
 
-def load_model(path, expect_spec: ModelSpec | None = None) -> Model:
+def load_model(path) -> Model:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -616,8 +594,6 @@ def load_model(path, expect_spec: ModelSpec | None = None) -> Model:
         raise ParseError(f"{path}: invalid model spec: {exc}") from exc
     if not isinstance(stored, list):
         raise ParseError(f"{path}: params must be a list, not {type(stored).__name__}")
-    if expect_spec is not None and spec != expect_spec:
-        raise DataError(f"{path}: model spec does not match the expected spec")
     model = Model(spec, seed=0)
     params = model.params()
     if len(stored) != len(params):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError, ParseError, is_real
+from .errors import ContractError, DataError, ParseError, float_array, is_real, require_integer
 
 log = logging.getLogger(__name__)
 
@@ -45,8 +45,14 @@ class RunRecord:
     success: bool
 
     def __post_init__(self):
-        if self.evaluations_used < 1:
-            raise ContractError("evaluations_used must be >= 1")
+        for name in ("algorithm", "function_code"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value):
+                raise ContractError(f"{name} must be a non-empty string, got {value!r}")
+        for name, minimum in (("dimension", 1), ("instance_index", 0), ("evaluations_used", 1)):
+            require_integer(name, getattr(self, name), minimum)
+        if not isinstance(self.success, bool):
+            raise ContractError(f"success must be a bool, got {self.success!r}")
 
 
 @dataclass(frozen=True)
@@ -161,6 +167,16 @@ def vbs_mean(table: RelErtTable) -> float:
     return float(table.relert.min(axis=1).mean())
 
 
+def _points(points, what: str) -> np.ndarray:
+    """points as an (n, 2) float64 array, n = 0 for an empty input; else DataError."""
+    pts = float_array(points, what)
+    if pts.size == 0:
+        return pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DataError(f"{what} must be an (n, 2) array of objective pairs, got shape {pts.shape}")
+    return pts
+
+
 def nondominated_2d(points) -> np.ndarray:
     """Mask, in input order, of the points of a 2-D minimization set that no
     other point dominates; of exact duplicates only the first is kept.
@@ -169,7 +185,7 @@ def nondominated_2d(points) -> np.ndarray:
     f2 lies strictly below every f2 before it (the O(n log n) maxima method
     of Kung, Luccio & Preparata 1975).
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = _points(points, "nondominated_2d points")
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     f2 = pts[order, 1]
     best_before = np.minimum.accumulate(np.concatenate(([np.inf], f2[:-1])))
@@ -180,10 +196,7 @@ def nondominated_2d(points) -> np.ndarray:
 
 def _reference(ref) -> np.ndarray:
     """ref as a float64 pair; DataError unless it is exactly two finite numbers."""
-    try:
-        pair = np.asarray(ref, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"a reference point is two finite numbers, not {ref!r}") from exc
+    pair = float_array(ref, "a reference point, two finite numbers,")
     if pair.shape != (2,) or not np.isfinite(pair).all():
         raise DataError(f"a reference point is two finite numbers, not {ref!r}")
     return pair
@@ -197,7 +210,7 @@ def hypervolume_2d(points, ref) -> float:
     A non-finite point or reference raises DataError.
     """
     ref = _reference(ref)
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = _points(points, "hypervolume_2d points")
     if not np.isfinite(pts).all():
         raise DataError("hypervolume_2d needs finite points")
     pts = pts[(pts[:, 0] < ref[0]) & (pts[:, 1] < ref[1])]
@@ -211,21 +224,18 @@ def hypervolume_2d(points, ref) -> float:
     return float(np.cumsum(areas)[-1])
 
 
-def rel_hv(hv, hv_sbs, hv_vbs, eps: float = RELHV_EPSILON):
+def rel_hv(hv, hv_sbs, hv_vbs):
     """Rescale hypervolume against the VBS-SBS gap: SBS ~ 0, VBS = 1,
-    negative means worse than the single best solver.  Takes floats or
-    arrays that broadcast together."""
-    return (hv - hv_sbs + eps) / (hv_vbs - hv_sbs + eps)
+    negative means worse than the single best solver.  RELHV_EPSILON, added
+    above and below, maps a collapsed gap to 1.  Takes floats or arrays that
+    broadcast together."""
+    return (hv - hv_sbs + RELHV_EPSILON) / (hv_vbs - hv_sbs + RELHV_EPSILON)
 
 
-def reference_point(fronts, prespecified=None) -> tuple[float, float]:
+def reference_point(fronts) -> tuple[float, float]:
     """Per-instance HV reference: the least favorable corner of all fronts,
-    inflated by 10%; a prespecified point, two finite numbers, passes
-    through unchanged."""
-    if prespecified is not None:
-        ref = _reference(prespecified)
-        return (float(ref[0]), float(ref[1]))
-    stacked = [np.asarray(f, dtype=float).reshape(-1, 2) for f in fronts if len(f)]
+    inflated by 10%."""
+    stacked = [pts for pts in (_points(f, "a front") for f in fronts) if len(pts)]
     if not stacked:
         raise DataError("cannot derive a reference point from empty fronts")
     points = np.concatenate(stacked)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError, is_real, require_integer
+from .errors import ContractError, DataError, float_array, is_real, require_integer
 from .suite import (
     DOMAIN_HI,
     DOMAIN_LO,
@@ -113,16 +113,12 @@ def _grid_points(inst: ProblemInstance, plan: SlicePlan, r: int, window: Window)
 
 
 def probe_grid(
-    inst: ProblemInstance,
-    plan: SlicePlan,
-    r: int,
-    window: Window = FULL_DOMAIN,
-    counter: EvalCounter | None = None,
+    inst: ProblemInstance, plan: SlicePlan, r: int, counter: EvalCounter | None = None
 ) -> np.ndarray:
-    """Evaluate a SOO instance on an endpoint-inclusive r x r grid; entry
-    [b, a] holds the point with the a-th first and b-th second slice
-    coordinate (both ascending)."""
-    pts = _grid_points(inst, plan, r, window)
+    """Evaluate a SOO instance on an endpoint-inclusive r x r grid over the
+    full domain; entry [b, a] holds the point with the a-th first and b-th
+    second slice coordinate (both ascending)."""
+    pts = _grid_points(inst, plan, r, FULL_DOMAIN)
     values = evaluate_soo_batch(inst, pts).reshape(r, r)
     if counter is not None:
         counter.add(r * r)
@@ -147,7 +143,7 @@ def probe_grid_moo(
 
 def normalize(field) -> np.ndarray:
     """Rescale a field to [0, 1]; a constant field becomes all 0.5."""
-    vals = np.asarray(field, dtype=float)
+    vals = float_array(field, "a field")
     if vals.size == 0:
         raise ContractError(f"cannot normalize an empty field of shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
@@ -171,7 +167,7 @@ def quantize_levels(field, levels: int) -> np.ndarray:
     continuous field through unchanged.
     """
     require_integer("levels", levels, 0)
-    vals = np.asarray(field, dtype=float)
+    vals = float_array(field, "a field")
     if vals.size == 0:
         raise ContractError(f"quantize_levels expects a nonempty field, got shape {vals.shape}")
     if not (vals.min() >= 0.0 and vals.max() <= 1.0):
@@ -183,12 +179,14 @@ def quantize_levels(field, levels: int) -> np.ndarray:
 
 
 def resize_bilinear(field, r_out: int) -> np.ndarray:
-    """Endpoint-aligned bilinear resample of a square field to r_out x r_out
-    (corners exact)."""
+    """Endpoint-aligned bilinear resample of a square finite field to
+    r_out x r_out (corners exact)."""
     require_integer("output resolution", r_out, 2)
-    vals = np.asarray(field, dtype=float)
+    vals = float_array(field, "a field")
     if vals.ndim != 2 or not 0 < vals.shape[0] == vals.shape[1]:
         raise ContractError(f"resize_bilinear expects a square 2-D field, got shape {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise DataError("resize_bilinear expects a field without NaN or inf values")
     r_in = vals.shape[0]
     if r_out == r_in:
         return vals.copy()
@@ -201,15 +199,12 @@ def resize_bilinear(field, r_out: int) -> np.ndarray:
     return rows * (1.0 - frac[:, None]) + rows1 * frac[:, None]
 
 
-def sample_window(
-    lam: float, rng: np.random.Generator, domain: tuple[float, float] = (DOMAIN_LO, DOMAIN_HI)
-) -> Window:
+def sample_window(lam: float, rng: np.random.Generator) -> Window:
     """Uniformly place a window with sides lam * domain side inside the domain."""
     if not (is_real(lam) and 0.0 < lam <= 1.0):
         raise ContractError(f"window scale must be a real number in (0, 1], got {lam!r}")
-    lo_d, hi_d = domain
-    side = lam * (hi_d - lo_d)
-    corner = rng.uniform(lo_d, hi_d - side, size=2)
+    side = lam * (DOMAIN_HI - DOMAIN_LO)
+    corner = rng.uniform(DOMAIN_LO, DOMAIN_HI - side, size=2)
     return Window(lo=(float(corner[0]), float(corner[1])), side=(side, side))
 
 
@@ -296,7 +291,7 @@ def write_pgm(field, path) -> None:
     Row 0 of the image is the maximum second-coordinate edge, matching the
     usual top-down image convention.  Output bytes are platform-independent.
     """
-    vals = np.asarray(field, dtype=float)
+    vals = float_array(field, "a field")
     if vals.ndim != 2 or vals.size == 0:
         raise ContractError(f"write_pgm expects a nonempty 2-D field, got shape {vals.shape}")
     if not (vals.min() >= 0.0 and vals.max() <= 1.0):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, InvalidProblemError, is_integer
+from .errors import ContractError, DataError, InvalidProblemError, float_array, is_integer, require_integer
 from .perfdata import nondominated_2d
 
 DOMAIN_LO = -5.0
@@ -219,15 +219,21 @@ _SOO_FORMULAS = {
 }
 
 
+def _batch_points(xs, d: int) -> np.ndarray:
+    """xs as a finite (n, d) float64 array."""
+    xs = float_array(xs, "points")
+    if xs.ndim != 2 or xs.shape[1] != d:
+        raise ContractError(f"expected points of shape (n, {d}), got {xs.shape}")
+    if not np.isfinite(xs).all():
+        raise DataError("points must be finite")
+    return xs
+
+
 def evaluate_soo_batch(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a (n, d) batch of points on a single-objective instance."""
+    """Evaluate a (n, d) batch of finite points on a single-objective instance."""
     if inst.id.kind != "soo":
         raise ContractError("evaluate_soo on a non-SOO instance")
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != inst.dimension:
-        raise ContractError(
-            f"expected points of shape (n, {inst.dimension}), got {xs.shape}"
-        )
+    xs = _batch_points(xs, inst.dimension)
     z = xs - inst.x_opt
     if inst.id.function_code == "rosenbrock":
         z = z + 1.0
@@ -236,7 +242,7 @@ def evaluate_soo_batch(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
 
 def evaluate_soo(inst: ProblemInstance, x: np.ndarray) -> float:
     """Evaluate one point; minimum value f_opt is attained at x_opt."""
-    x = np.asarray(x, dtype=float)
+    x = float_array(x, "a point")
     if x.ndim != 1:
         raise ContractError(f"expected a 1-D point, got shape {x.shape}")
     return float(evaluate_soo_batch(inst, x[None, :])[0])
@@ -263,12 +269,11 @@ def _zdt_f2(code, f1, g):
 
 
 def evaluate_moo_batch(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a (n, 2) batch; returns an (n, 2) array of objective pairs."""
+    """Evaluate a (n, 2) batch of finite points; returns an (n, 2) array of
+    objective pairs."""
     if inst.id.kind != "moo":
         raise ContractError("evaluate_moo on a non-MOO instance")
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != 2:
-        raise ContractError(f"expected points of shape (n, 2), got {xs.shape}")
+    xs = _batch_points(xs, 2)
     code = inst.id.function_code
     if code == "bi_sphere":
         a, b = inst.centers
@@ -281,7 +286,7 @@ def evaluate_moo_batch(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
 
 
 def evaluate_moo(inst: ProblemInstance, x: np.ndarray) -> tuple[float, float]:
-    x = np.asarray(x, dtype=float)
+    x = float_array(x, "a point")
     if x.ndim != 1:
         raise ContractError(f"expected a 1-D point, got shape {x.shape}")
     pair = evaluate_moo_batch(inst, x[None, :])[0]
@@ -298,6 +303,7 @@ def pareto_front_points(inst: ProblemInstance, n: int = 2001) -> np.ndarray:
     """
     if inst.id.kind != "moo":
         raise ContractError("pareto front requested for a non-MOO instance")
+    require_integer("pareto front sample count", n, 2)
     t = np.linspace(0.0, 1.0, n)
     code = inst.id.function_code
     if code == "bi_sphere":

@@ -1,0 +1,95 @@
+"""Every public array entry point refuses bad input with a ContourselError:
+text, ragged nesting, point arrays of the wrong width, and NaN or inf where
+a non-finite value would otherwise flow through as a silent NaN."""
+
+import numpy as np
+import pytest
+
+from contoursel.errors import ContourselError
+from contoursel.neural import Model, ModelSpec, transform_targets
+from contoursel.perfdata import hypervolume_2d, nondominated_2d, reference_point
+from contoursel.prober import normalize, quantize_levels, resize_bilinear, write_pgm
+from contoursel.suite import (
+    ProblemId,
+    evaluate_moo,
+    evaluate_moo_batch,
+    evaluate_soo,
+    evaluate_soo_batch,
+    make_instance,
+)
+
+SOO = make_instance(ProblemId(kind="soo", function_code="sphere", dimension=2, instance_index=0), 0)
+MOO = make_instance(ProblemId(kind="moo", function_code="zdt1", dimension=2, instance_index=0), 0)
+MODEL = Model(ModelSpec(variant="combined", input_resolution=8, output_count=2, encoder_channels=(2, 3),
+                        head_widths=(4,)), seed=0)
+STACK = np.zeros((1, 5, 8, 8))
+
+TEXT = "ab"
+RAGGED = [[0.1, 0.2], [0.3]]
+TEXT_IN_PAIRS = [(0.1, 0.2), ("a", 0.3)]
+WIDE = np.full((2, 3), 0.5)  # two rows of three, not three points
+NAN_FIELD = np.array([[0.0, 0.5], [np.nan, 1.0]])
+INF_FIELD = np.array([[0.0, 0.5], [np.inf, 1.0]])
+NAN_POINTS = np.array([[0.1, 0.2], [np.nan, 0.3]])
+INF_POINTS = np.array([[0.1, 0.2], [0.3, -np.inf]])
+
+
+def forward(stack=STACK, dims=(2.0,)):
+    return MODEL.forward_batch([stack], dims)
+
+
+CASES = {
+    "normalize-text": lambda tmp: normalize(TEXT),
+    "normalize-ragged": lambda tmp: normalize(RAGGED),
+    "quantize-text": lambda tmp: quantize_levels(TEXT, 4),
+    "quantize-ragged": lambda tmp: quantize_levels(RAGGED, 4),
+    "resize-text": lambda tmp: resize_bilinear(TEXT, 4),
+    "resize-ragged": lambda tmp: resize_bilinear(RAGGED, 4),
+    "resize-nan": lambda tmp: resize_bilinear(NAN_FIELD, 4),
+    "resize-inf": lambda tmp: resize_bilinear(INF_FIELD, 4),
+    "resize-nan-same-size": lambda tmp: resize_bilinear(NAN_FIELD, 2),
+    "pgm-text": lambda tmp: write_pgm(TEXT, tmp / "f.pgm"),
+    "pgm-ragged": lambda tmp: write_pgm(RAGGED, tmp / "f.pgm"),
+    "soo-batch-text": lambda tmp: evaluate_soo_batch(SOO, TEXT),
+    "soo-batch-ragged": lambda tmp: evaluate_soo_batch(SOO, RAGGED),
+    "soo-batch-nan": lambda tmp: evaluate_soo_batch(SOO, NAN_POINTS),
+    "soo-batch-inf": lambda tmp: evaluate_soo_batch(SOO, INF_POINTS),
+    "soo-text": lambda tmp: evaluate_soo(SOO, TEXT),
+    "soo-ragged": lambda tmp: evaluate_soo(SOO, RAGGED),
+    "soo-nan": lambda tmp: evaluate_soo(SOO, [np.nan, 0.0]),
+    "moo-batch-text": lambda tmp: evaluate_moo_batch(MOO, TEXT),
+    "moo-batch-ragged": lambda tmp: evaluate_moo_batch(MOO, RAGGED),
+    "moo-batch-wide": lambda tmp: evaluate_moo_batch(MOO, WIDE),
+    "moo-batch-nan": lambda tmp: evaluate_moo_batch(MOO, NAN_POINTS),
+    "moo-batch-inf": lambda tmp: evaluate_moo_batch(MOO, INF_POINTS),
+    "moo-text": lambda tmp: evaluate_moo(MOO, TEXT),
+    "moo-ragged": lambda tmp: evaluate_moo(MOO, RAGGED),
+    "moo-inf": lambda tmp: evaluate_moo(MOO, [0.0, np.inf]),
+    "nondominated-text": lambda tmp: nondominated_2d(TEXT),
+    "nondominated-text-in-pairs": lambda tmp: nondominated_2d(TEXT_IN_PAIRS),
+    "nondominated-ragged": lambda tmp: nondominated_2d(RAGGED),
+    "nondominated-wide": lambda tmp: nondominated_2d(WIDE),
+    "nondominated-triples": lambda tmp: nondominated_2d([(0.1, 0.2, 0.3)]),
+    "hv-text": lambda tmp: hypervolume_2d(TEXT, (1.0, 1.0)),
+    "hv-text-in-pairs": lambda tmp: hypervolume_2d(TEXT_IN_PAIRS, (1.0, 1.0)),
+    "hv-ragged": lambda tmp: hypervolume_2d(RAGGED, (1.0, 1.0)),
+    "hv-wide": lambda tmp: hypervolume_2d(WIDE, (1.0, 1.0)),
+    "hv-triples": lambda tmp: hypervolume_2d([(0.1, 0.2, 0.3)], (1.0, 1.0)),
+    "ref-text": lambda tmp: reference_point([TEXT]),
+    "ref-text-in-pairs": lambda tmp: reference_point([TEXT_IN_PAIRS]),
+    "ref-ragged": lambda tmp: reference_point([RAGGED]),
+    "ref-wide": lambda tmp: reference_point([WIDE]),
+    "forward-stack-text": lambda tmp: forward(stack=TEXT),
+    "forward-stack-ragged": lambda tmp: forward(stack=[STACK[0], STACK[0, :2]]),
+    "forward-dims-text": lambda tmp: forward(dims=TEXT),
+    "forward-dims-ragged": lambda tmp: forward(dims=RAGGED),
+    "targets-text": lambda tmp: transform_targets("log10_relert", TEXT),
+    "targets-ragged": lambda tmp: transform_targets("log10_relert", RAGGED),
+    "targets-relhv-text": lambda tmp: transform_targets("relhv_clip", TEXT),
+}
+
+
+@pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
+def test_bad_input_raises_a_toolkit_error(call, tmp_path):
+    with pytest.raises(ContourselError):
+        call(tmp_path)

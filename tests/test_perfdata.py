@@ -140,6 +140,17 @@ class TestErt:
         with pytest.raises(ContractError):
             ert([])
 
+    @pytest.mark.parametrize("field, value", [
+        ("algorithm", ""), ("algorithm", 3), ("function_code", ""), ("function_code", None),
+        ("dimension", 0), ("dimension", 2.0), ("instance_index", -1), ("instance_index", True),
+        ("evaluations_used", 0), ("evaluations_used", "5"), ("success", "yes"), ("success", 1),
+    ])
+    def test_malformed_record_field_rejected(self, field, value):
+        fields = {"algorithm": "a", "function_code": "sphere", "dimension": 2, "instance_index": 0,
+                  "evaluations_used": 100, "success": True}
+        with pytest.raises(ContractError, match=field):
+            RunRecord(**{**fields, field: value})
+
     def test_grouping(self):
         records = [
             rec("a", "sphere", 2, 0, 100, True),
@@ -317,17 +328,20 @@ class TestHypervolume:
         estimate, bound = grid_count_hv(points, ref, cells_per_axis=256)
         assert abs(hypervolume_2d(points, ref) - estimate) <= bound + 1e-12
 
-    @pytest.mark.parametrize("points, ref", [
-        ([(0.5, 0.5)], (np.nan, 1.0)),
-        ([(0.5, 0.5)], (1.0, np.inf)),
-        ([(0.5, 0.5)], (1.0,)),
-        ([(0.5, 0.5)], (1.0, 1.0, 1.0)),
-        ([(0.5, 0.5)], "ab"),
-        ([(np.nan, 0.5), (0.2, 0.3)], (1.0, 1.0)),
-        ([(0.2, 0.3), (0.5, np.inf)], (1.0, 1.0)),
-    ], ids=["ref-nan", "ref-inf", "ref-short", "ref-long", "ref-text", "point-nan", "point-inf"])
-    def test_nonfinite_or_malformed_input_rejected(self, points, ref):
-        with pytest.raises(DataError):
+    @pytest.mark.parametrize("points, ref, message", [
+        ([(0.5, 0.5)], (np.nan, 1.0), "reference point"),
+        ([(0.5, 0.5)], (1.0, np.inf), "reference point"),
+        ([(0.5, 0.5)], (1.0,), "reference point"),
+        ([(0.5, 0.5)], (1.0, 1.0, 1.0), "reference point"),
+        ([(0.5, 0.5)], "ab", "reference point"),
+        ([(0.5, 0.5)], ("a", 1.0), "reference point"),
+        ([(0.5, 0.5)], [[1.0], [1.0, 2.0]], "reference point"),
+        ([(np.nan, 0.5), (0.2, 0.3)], (1.0, 1.0), "finite points"),
+        ([(0.2, 0.3), (0.5, np.inf)], (1.0, 1.0), "finite points"),
+    ], ids=["ref-nan", "ref-inf", "ref-short", "ref-long", "ref-text", "ref-text-coordinate", "ref-ragged",
+            "point-nan", "point-inf"])
+    def test_nonfinite_or_malformed_input_rejected(self, points, ref, message):
+        with pytest.raises(DataError, match=message):
             hypervolume_2d(points, ref)
 
 
@@ -378,9 +392,6 @@ class TestReferencePoint:
         fronts = [[(1.0, 3.0)], [(2.0, 1.0)]]
         assert reference_point(fronts) == pytest.approx((2.2, 3.3))
 
-    def test_prespecified_passthrough(self):
-        assert reference_point([], prespecified=(11.0, 12.0)) == (11.0, 12.0)
-
     def test_dominates_all_points(self):
         rng = np.random.default_rng(1)
         fronts = [rng.random((5, 2)) * 10 for _ in range(3)]
@@ -395,8 +406,9 @@ class TestReferencePoint:
     @pytest.mark.parametrize("bad", [(np.nan, 1.0), (1.0, -np.inf), (1.0,), (1.0, 2.0, 3.0), "ab", ("a", 1.0)],
                              ids=["nan", "inf", "short", "long", "text", "text-coordinate"])
     def test_malformed_prespecified_rejected(self, bad):
+        # a caller's own reference point, used in place of reference_point's, enters through hypervolume_2d's ref
         with pytest.raises(DataError, match="two finite numbers"):
-            reference_point([[(1.0, 1.0)]], prespecified=bad)
+            hypervolume_2d([(1.0, 1.0)], bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_front_rejected(self, bad):
@@ -574,7 +586,8 @@ class TestCsv:
         with pytest.raises(ParseError, match=":3:"):
             ingest_runs(path)
 
-    @pytest.mark.parametrize("row", ["a,sphere,2,0,100,7", "a,sphere,2,0,0,1", "a,sphere,2,0,100"])
+    @pytest.mark.parametrize("row", ["a,sphere,2,0,100,7", "a,sphere,2,0,0,1", "a,sphere,2,0,100",
+                                     ",no_such_fn,-3,-7,5,1", "a,sphere,0,0,100,1", "a,sphere,2,-1,100,1"])
     def test_runs_bad_field_names_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(

@@ -161,6 +161,13 @@ def test_pareto_front_points_match_direct_evaluation():
     np.testing.assert_allclose(front[:, 1], 1.0 - front[:, 0] ** 2)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2.5, True, "11"])
+def test_pareto_front_sample_count_is_an_integer_of_at_least_two(n):
+    with pytest.raises(ContractError, match="sample count"):
+        pareto_front_points(make_instance(moo_id("zdt1"), 0), n=n)
+    assert pareto_front_points(make_instance(moo_id("zdt1"), 0), n=2).shape == (2, 2)
+
+
 def test_true_group_mapping():
     assert true_group("sphere") == 1
     assert true_group("ellipsoid") == 1
