@@ -402,8 +402,12 @@ class Model:
         one slot of 2k views.
         """
         spec = self.spec
-        if len(stacks) != spec.stack_count:
-            raise ContractError(f"model expects {spec.stack_count} stack(s), got {len(stacks)}")
+        try:
+            count = len(stacks)
+        except TypeError:
+            raise ContractError(f"stacks must be a list of stack arrays, got {type(stacks).__name__}") from None
+        if count != spec.stack_count:
+            raise ContractError(f"model expects {spec.stack_count} stack(s), got {count}")
         dims = float_array(dims, "problem dimensions").reshape(-1, 1)
         if not np.all(np.isfinite(dims)):
             raise DataError("problem dimensions must be finite")
@@ -496,6 +500,8 @@ class Dataset:
         lengths = [len(s) for s in self.stacks] + [len(self.targets)]
         if any(m != len(self.dims) for m in lengths):
             raise ContractError(f"{len(self.dims)} dims but stack and target lengths {lengths}")
+        if self.tags and len(self.tags) != len(self.dims):
+            raise ContractError(f"{len(self.dims)} dims but {len(self.tags)} tags")
 
     def __len__(self):
         return len(self.dims)

@@ -183,9 +183,16 @@ def nondominated_2d(points) -> np.ndarray:
 
     After a stable sort by (f1, f2), a point is nondominated exactly when its
     f2 lies strictly below every f2 before it (the O(n log n) maxima method
-    of Kung, Luccio & Preparata 1975).
+    of Kung, Luccio & Preparata 1975).  A non-finite point raises DataError.
     """
     pts = _points(points, "nondominated_2d points")
+    if not np.isfinite(pts).all():
+        raise DataError("nondominated_2d needs finite points")
+    return _nondominated(pts)
+
+
+def _nondominated(pts: np.ndarray) -> np.ndarray:
+    """nondominated_2d of points already checked to be finite pairs."""
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     f2 = pts[order, 1]
     best_before = np.minimum.accumulate(np.concatenate(([np.inf], f2[:-1])))
@@ -216,7 +223,7 @@ def hypervolume_2d(points, ref) -> float:
     pts = pts[(pts[:, 0] < ref[0]) & (pts[:, 1] < ref[1])]
     if len(pts) == 0:
         return 0.0
-    front = pts[nondominated_2d(pts)]
+    front = pts[_nondominated(pts)]
     front = front[np.argsort(front[:, 0])]
     areas = np.diff(front[:, 0], append=ref[0]) * (ref[1] - front[:, 1])
     # cumsum adds strictly left to right, unlike the pairwise np.sum, so the
@@ -235,6 +242,10 @@ def rel_hv(hv, hv_sbs, hv_vbs):
 def reference_point(fronts) -> tuple[float, float]:
     """Per-instance HV reference: the least favorable corner of all fronts,
     inflated by 10%."""
+    try:
+        fronts = list(fronts)
+    except TypeError:
+        raise DataError(f"fronts must be a sequence of (n, 2) point arrays, got {type(fronts).__name__}") from None
     stacked = [pts for pts in (_points(f, "a front") for f in fronts) if len(pts)]
     if not stacked:
         raise DataError("cannot derive a reference point from empty fronts")

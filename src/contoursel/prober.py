@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError, float_array, is_real, require_integer
+from .errors import ContractError, DataError, float_array, is_integer, is_real, require_integer
 from .suite import (
     DOMAIN_HI,
     DOMAIN_LO,
@@ -100,16 +100,18 @@ def plan_slice(d: int, rng: np.random.Generator) -> SlicePlan:
 
 
 def _grid_points(inst: ProblemInstance, plan: SlicePlan, r: int, window: Window):
-    """(r*r, d) evaluation points for the grid; row-major with the second
-    slice coordinate as the slow (row) index."""
+    """(r*r, d) evaluation points for the grid, the second slice coordinate
+    as the slow (row) index; column-major, so each coordinate is contiguous."""
     require_integer("grid resolution", r, 2)
+    d = inst.dimension
+    if not all(is_integer(axis, 0) and axis < d for axis in plan.axes):
+        raise ContractError(f"slice axes {plan.axes} must lie in [0, {d})")
     ax_a = np.linspace(window.lo[0], window.lo[0] + window.side[0], r)
     ax_b = np.linspace(window.lo[1], window.lo[1] + window.side[1], r)
-    grid_b, grid_a = np.meshgrid(ax_b, ax_a, indexing="ij")
-    pts = np.zeros((r * r, inst.dimension))
-    pts[:, plan.axes[0]] = grid_a.ravel()
-    pts[:, plan.axes[1]] = grid_b.ravel()
-    return pts
+    pts = np.zeros((d, r * r))
+    pts[plan.axes[0]] = np.tile(ax_a, r)
+    pts[plan.axes[1]] = np.repeat(ax_b, r)
+    return pts.T
 
 
 def probe_grid(

@@ -35,6 +35,10 @@ MOO_FUNCTIONS = ("zdt1", "zdt2", "zdt3", "bi_sphere")
 SOO_DIMENSIONS = (2, 3, 5, 10)
 MOO_DIMENSION = 2
 
+# Points per evaluation block: a block's coordinates and the formulas'
+# temporaries stay in cache (4096 to 16384 timed alike, 65536 slower).
+SOO_BLOCK_POINTS = 8192
+
 # Group analogy: 1 separable, 2 low-conditioned valley, 3 high-conditioned,
 # 4 multimodal with global structure, 5 multimodal with weak structure.
 FUNCTION_GROUPS = {
@@ -157,53 +161,55 @@ def instance_from_descriptor(desc: dict) -> ProblemInstance:
 
 
 # ---------------------------------------------------------------------------
-# Single-objective formulas.  Each takes the shifted coordinates z (n, d)
-# and returns (n,) values with minimum 0 at z = 0 (rosenbrock: z = 1).
+# Single-objective formulas.  Each takes the shifted coordinates z of shape
+# (d, n), one row per coordinate, and returns (n,) values with minimum 0 at
+# z = 0 (rosenbrock: z = 1).  The builtin sum adds whole rows in order for
+# any n; np.sum(axis=0) would add a lone column pairwise.
 
 
 def _sphere(z):
-    return np.sum(z * z, axis=-1)
+    return sum(z * z)
 
 
 def _ellipsoid(z):
-    d = z.shape[-1]
+    d = len(z)
     weights = 10.0 ** (6.0 * np.arange(d) / (d - 1))
-    return np.sum(weights * z * z, axis=-1)
+    return sum(weights[:, None] * z * z)
 
 
 def _rastrigin(z):
-    d = z.shape[-1]
-    return 10.0 * (d - np.sum(np.cos(2.0 * np.pi * z), axis=-1)) + np.sum(z * z, axis=-1)
+    d = len(z)
+    return 10.0 * (d - sum(np.cos(2.0 * np.pi * z))) + sum(z * z)
 
 
 def _rosenbrock(z):
-    a = z[..., :-1]
-    b = z[..., 1:]
-    return np.sum(100.0 * (a * a - b) ** 2 + (a - 1.0) ** 2, axis=-1)
+    a = z[:-1]
+    b = z[1:]
+    return sum(100.0 * (a * a - b) ** 2 + (a - 1.0) ** 2)
 
 
 def _discus(z):
-    return 1e6 * z[..., 0] ** 2 + np.sum(z[..., 1:] ** 2, axis=-1)
+    return 1e6 * z[0] ** 2 + sum(z[1:] ** 2)
 
 
 def _bent_cigar(z):
-    return z[..., 0] ** 2 + 1e6 * np.sum(z[..., 1:] ** 2, axis=-1)
+    return z[0] ** 2 + 1e6 * sum(z[1:] ** 2)
 
 
 def _griewank(z):
-    d = z.shape[-1]
+    d = len(z)
     idx = np.sqrt(np.arange(1, d + 1, dtype=float))
     return (
-        np.sum(z * z, axis=-1) / 4000.0
-        - np.prod(np.cos(z / idx), axis=-1)
+        sum(z * z) / 4000.0
+        - np.prod(np.cos(z / idx[:, None]), axis=0)
         + 1.0
     )
 
 
 def _ackley(z):
-    d = z.shape[-1]
-    rms = np.sqrt(np.sum(z * z, axis=-1) / d)
-    mean_cos = np.sum(np.cos(2.0 * np.pi * z), axis=-1) / d
+    d = len(z)
+    rms = np.sqrt(sum(z * z) / d)
+    mean_cos = sum(np.cos(2.0 * np.pi * z)) / d
     return -20.0 * np.exp(-0.2 * rms) - np.exp(mean_cos) + 20.0 + np.e
 
 
@@ -234,10 +240,15 @@ def evaluate_soo_batch(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
     if inst.id.kind != "soo":
         raise ContractError("evaluate_soo on a non-SOO instance")
     xs = _batch_points(xs, inst.dimension)
-    z = xs - inst.x_opt
-    if inst.id.function_code == "rosenbrock":
-        z = z + 1.0
-    return _SOO_FORMULAS[inst.id.function_code](z) + inst.f_opt
+    out = np.empty(len(xs))
+    for start in range(0, len(xs), SOO_BLOCK_POINTS):
+        blk = slice(start, start + SOO_BLOCK_POINTS)
+        z = np.subtract(xs[blk].T, inst.x_opt[:, None], order="C")
+        if inst.id.function_code == "rosenbrock":
+            z += 1.0
+        out[blk] = _SOO_FORMULAS[inst.id.function_code](z)
+    out += inst.f_opt
+    return out
 
 
 def evaluate_soo(inst: ProblemInstance, x: np.ndarray) -> float:

@@ -70,6 +70,8 @@ CASES = {
     "nondominated-ragged": lambda tmp: nondominated_2d(RAGGED),
     "nondominated-wide": lambda tmp: nondominated_2d(WIDE),
     "nondominated-triples": lambda tmp: nondominated_2d([(0.1, 0.2, 0.3)]),
+    "nondominated-nan": lambda tmp: nondominated_2d([(np.nan, 1.0), (0.5, 0.5)]),
+    "nondominated-inf": lambda tmp: nondominated_2d(INF_POINTS),
     "hv-text": lambda tmp: hypervolume_2d(TEXT, (1.0, 1.0)),
     "hv-text-in-pairs": lambda tmp: hypervolume_2d(TEXT_IN_PAIRS, (1.0, 1.0)),
     "hv-ragged": lambda tmp: hypervolume_2d(RAGGED, (1.0, 1.0)),
@@ -93,3 +95,13 @@ CASES = {
 def test_bad_input_raises_a_toolkit_error(call, tmp_path):
     with pytest.raises(ContourselError):
         call(tmp_path)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: reference_point(5), "fronts"),
+    (lambda: reference_point(None), "fronts"),
+    (lambda: MODEL.forward_batch(5, [2.0]), "stacks"),
+], ids=["ref-number", "ref-none", "forward-stacks-number"])
+def test_a_non_sequence_argument_is_named(call, name):
+    with pytest.raises(ContourselError, match=name):
+        call()

@@ -511,6 +511,12 @@ class TestTraining:
             Dataset(stacks=[rng.random((2, 5, 8, 8))], dims=np.array([2.0, 3.0, 5.0]),
                     targets=rng.normal(size=(3, 2)))
 
+    def test_dataset_with_tags_not_matching_dims_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ContractError, match="3 dims but 1 tags"):
+            Dataset(stacks=[rng.random((3, 5, 8, 8))], dims=np.array([2.0, 3.0, 5.0]),
+                    targets=rng.normal(size=(3, 2)), tags=["a"])
+
     def test_dataset_subset_keeps_tags(self):
         ds = tiny_dataset(n=4)
         sub = ds.subset([2, 0])

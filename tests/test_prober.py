@@ -6,6 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from test_suite import SOO_CONFIGS, assert_matches_row_major_oracle, row_major_oracle
+
+from contoursel import prober
 from contoursel.errors import ContractError, DataError
 from contoursel.prober import (
     EvalCounter,
@@ -91,6 +94,24 @@ class TestProbeGrid:
         f = probe_grid(inst, SlicePlan(axes=(0, 1)), 4)
         col = f[:, 0]
         assert np.all(np.diff(col) > 0)
+
+    @pytest.mark.parametrize("axes", [(2, -1), (-1, 0), (0, 3), (0, 5), (0.0, 1)])
+    def test_slice_axes_outside_the_dimension_rejected(self, axes):
+        with pytest.raises(ContractError, match="slice axes"):
+            probe_grid(sphere_instance(d=3), SlicePlan(axes=axes), 4)
+
+    @pytest.mark.parametrize("code, d", SOO_CONFIGS)
+    def test_matches_row_major_oracle_on_the_old_grid(self, code, d):
+        # the grid as first built: meshgrid, then row-major (r*r, d) points
+        r = 41
+        ax = np.linspace(-5.0, 5.0, r)
+        grid_b, grid_a = np.meshgrid(ax, ax, indexing="ij")
+        for idx, axes in enumerate([(0, 1), (0, d - 1), (d - 2, d - 1)]):
+            inst = make_instance(ProblemId(kind="soo", function_code=code, dimension=d, instance_index=idx), 3)
+            pts = np.zeros((r * r, d))
+            pts[:, axes[0]] = grid_a.ravel()
+            pts[:, axes[1]] = grid_b.ravel()
+            assert_matches_row_major_oracle(probe_grid(inst, SlicePlan(axes=axes), r).ravel(), inst, pts)
 
     def test_moo_shared_grid_and_counter(self):
         pid = ProblemId(kind="moo", function_code="bi_sphere", dimension=2, instance_index=0)
@@ -273,6 +294,14 @@ class TestStacks:
         kwargs = {k: v for k, v in kwargs.items() if k not in ("instance_seeds", "slice_seed")}
         with pytest.raises(ContractError, match="integer"):
             build_moo_stacks(make_instance(pid, 0), np.random.default_rng(0), **kwargs)
+
+    def test_soo_stacks_byte_equal_to_row_major_oracle(self, monkeypatch):
+        fast = [build_soo_stack(code, d, [11, 12, 13, 14, 15], 7, r_probe=24, r_out=8) for code, d in SOO_CONFIGS]
+        monkeypatch.setattr(prober, "evaluate_soo_batch", row_major_oracle)
+        for (code, d), new in zip(SOO_CONFIGS, fast):
+            old = build_soo_stack(code, d, [11, 12, 13, 14, 15], 7, r_probe=24, r_out=8)
+            assert new.views.tobytes() == old.views.tobytes()
+            assert (new.source, new.evaluations_spent) == (old.source, old.evaluations_spent)
 
     def test_views_are_one_array(self):
         stack = build_soo_stack("sphere", 2, instance_seeds=[1, 2, 3, 4, 5], slice_seed=0, r_probe=10, r_out=4)

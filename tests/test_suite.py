@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from contoursel import suite
 from contoursel.errors import ContractError, InvalidProblemError
 from contoursel.suite import (
     MOO_FUNCTIONS,
+    SOO_DIMENSIONS,
     SOO_FUNCTIONS,
     ProblemId,
     evaluate_moo,
@@ -19,6 +21,74 @@ from contoursel.suite import (
 
 def soo_id(code="sphere", d=2, idx=0):
     return ProblemId(kind="soo", function_code=code, dimension=d, instance_index=idx)
+
+
+SOO_CONFIGS = [(code, d) for code in SOO_FUNCTIONS for d in SOO_DIMENSIONS]
+
+
+# The eight formulas as first written: row-major (n, d) shifted points,
+# reduced over the last axis, the whole batch at once.  evaluate_soo_batch
+# evaluates coordinate-major blocks instead and is pinned to this oracle.
+def _row_major_formulas():
+    def ellipsoid(z):
+        d = z.shape[-1]
+        return np.sum(10.0 ** (6.0 * np.arange(d) / (d - 1)) * z * z, axis=-1)
+
+    def rastrigin(z):
+        return 10.0 * (z.shape[-1] - np.sum(np.cos(2.0 * np.pi * z), axis=-1)) + np.sum(z * z, axis=-1)
+
+    def rosenbrock(z):
+        a, b = z[..., :-1], z[..., 1:]
+        return np.sum(100.0 * (a * a - b) ** 2 + (a - 1.0) ** 2, axis=-1)
+
+    def griewank(z):
+        idx = np.sqrt(np.arange(1, z.shape[-1] + 1, dtype=float))
+        return np.sum(z * z, axis=-1) / 4000.0 - np.prod(np.cos(z / idx), axis=-1) + 1.0
+
+    def ackley(z):
+        d = z.shape[-1]
+        rms = np.sqrt(np.sum(z * z, axis=-1) / d)
+        mean_cos = np.sum(np.cos(2.0 * np.pi * z), axis=-1) / d
+        return -20.0 * np.exp(-0.2 * rms) - np.exp(mean_cos) + 20.0 + np.e
+
+    return {
+        "sphere": lambda z: np.sum(z * z, axis=-1),
+        "ellipsoid": ellipsoid,
+        "rastrigin": rastrigin,
+        "rosenbrock": rosenbrock,
+        "discus": lambda z: 1e6 * z[..., 0] ** 2 + np.sum(z[..., 1:] ** 2, axis=-1),
+        "bent_cigar": lambda z: z[..., 0] ** 2 + 1e6 * np.sum(z[..., 1:] ** 2, axis=-1),
+        "griewank": griewank,
+        "ackley": ackley,
+    }
+
+
+_ROW_MAJOR = _row_major_formulas()
+
+
+def row_major_oracle(inst, xs):
+    """evaluate_soo_batch of a (n, d) batch, row-major and unblocked."""
+    z = np.asarray(xs, dtype=float, order="C") - inst.x_opt
+    if inst.id.function_code == "rosenbrock":
+        z = z + 1.0
+    return _ROW_MAJOR[inst.id.function_code](z) + inst.f_opt
+
+
+# Below eight terms numpy sums the last axis in order, as the formulas' sum
+# over rows does, so d <= 5 agrees bit for bit.  At d = 10 the last-axis sum
+# adds eight partial sums, and values may move by a few units in the last
+# place (ulps) of the terms' scale |f - f_opt| + |f_opt|; 4 was the largest
+# seen on random points and probe grids.
+ORACLE_ULPS = 4
+
+
+def assert_matches_row_major_oracle(values, inst, xs):
+    want = row_major_oracle(inst, xs)
+    if inst.dimension < 8:
+        np.testing.assert_array_equal(values, want)
+    else:
+        scale = np.abs(want - inst.f_opt) + abs(inst.f_opt)
+        assert np.all(np.abs(values - want) <= ORACLE_ULPS * np.spacing(scale))
 
 
 def moo_id(code="zdt1", idx=0):
@@ -91,6 +161,28 @@ def test_shift_covariance():
         lhs = evaluate_soo_batch(shifted, xs + shifted.x_opt)
         rhs = evaluate_soo_batch(base, xs) + shifted.f_opt
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-9)
+
+
+@pytest.mark.parametrize("code, d", SOO_CONFIGS)
+def test_batch_matches_row_major_oracle_on_random_points(code, d):
+    rng = np.random.default_rng(d)
+    for idx in range(3):
+        inst = make_instance(soo_id(code, d, idx), 17)
+        xs = rng.uniform(-5.0, 5.0, size=(3000, d))
+        assert_matches_row_major_oracle(evaluate_soo_batch(inst, xs), inst, xs)
+
+
+@pytest.mark.parametrize("code, d", SOO_CONFIGS)
+def test_memory_layout_and_block_boundaries_change_no_bit(code, d):
+    block = suite.SOO_BLOCK_POINTS
+    inst = make_instance(soo_id(code, d), 5)
+    xs = np.random.default_rng(1).uniform(-5.0, 5.0, size=(block + 2, d))
+    whole = evaluate_soo_batch(inst, xs)
+    np.testing.assert_array_equal(evaluate_soo_batch(inst, np.asfortranarray(xs)), whole)
+    for n in (0, 1, block - 1, block + 1):
+        np.testing.assert_array_equal(evaluate_soo_batch(inst, xs[:n]), whole[:n])
+        np.testing.assert_array_equal(evaluate_soo_batch(inst, xs[n:]), whole[n:])
+    assert [evaluate_soo(inst, x) for x in xs[block - 2 : block + 2]] == whole[block - 2 : block + 2].tolist()
 
 
 def test_batch_matches_scalar():
