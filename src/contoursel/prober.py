@@ -49,6 +49,8 @@ class SlicePlan:
     axes: tuple[int, int]
 
     def __post_init__(self):
+        if not (isinstance(self.axes, tuple) and len(self.axes) == 2):
+            raise ContractError(f"slice axes must be a pair, got {self.axes!r}")
         i, j = self.axes
         if i == j:
             raise ContractError("slice axes must differ")
@@ -88,10 +90,15 @@ class ContourStack:
         return self.views.copy()
 
 
+def _require_generator(rng) -> None:
+    if not isinstance(rng, np.random.Generator):
+        raise ContractError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
+
+
 def plan_slice(d: int, rng: np.random.Generator) -> SlicePlan:
     """Choose the 2-D cross-section: uniform over unordered coordinate pairs."""
-    if d < 2:
-        raise ContractError(f"need d >= 2 to slice, got {d}")
+    require_integer("slice dimension", d, 2)
+    _require_generator(rng)
     if d == 2:
         return SlicePlan(axes=(0, 1))
     pair = rng.choice(d, size=2, replace=False)
@@ -108,10 +115,10 @@ def _grid_points(inst: ProblemInstance, plan: SlicePlan, r: int, window: Window)
         raise ContractError(f"slice axes {plan.axes} must lie in [0, {d})")
     ax_a = np.linspace(window.lo[0], window.lo[0] + window.side[0], r)
     ax_b = np.linspace(window.lo[1], window.lo[1] + window.side[1], r)
-    pts = np.zeros((d, r * r))
-    pts[plan.axes[0]] = np.tile(ax_a, r)
-    pts[plan.axes[1]] = np.repeat(ax_b, r)
-    return pts.T
+    pts = np.zeros((d, r, r))
+    pts[plan.axes[0]] = ax_a
+    pts[plan.axes[1]] = ax_b[:, None]
+    return pts.reshape(d, r * r).T
 
 
 def probe_grid(
@@ -148,16 +155,18 @@ def normalize(field) -> np.ndarray:
     vals = float_array(field, "a field")
     if vals.size == 0:
         raise ContractError(f"cannot normalize an empty field of shape {vals.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise DataError("cannot normalize a field with NaN or inf values")
     lo = vals.min()
     hi = vals.max()
+    # NaN propagates through min and max, and an infinity becomes an extreme
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DataError("cannot normalize a field with NaN or inf values")
     with np.errstate(over="ignore"):
         span = hi - lo
     if hi == lo:
         return np.full_like(vals, 0.5)
     if np.isfinite(span):
-        return (vals - lo) / span
+        out = np.subtract(vals, lo)
+        return np.divide(out, span, out=out)
     # the range overflows float64; halving every term keeps it finite
     return (vals * 0.5 - lo * 0.5) / (hi * 0.5 - lo * 0.5)
 
@@ -177,7 +186,10 @@ def quantize_levels(field, levels: int) -> np.ndarray:
     if levels == 0:
         return vals
     v = np.minimum(vals, 1.0 - 1e-12)
-    return (np.floor(v * levels) + 0.5) / levels
+    v *= levels
+    np.floor(v, out=v)
+    v += 0.5
+    return np.divide(v, levels, out=v)
 
 
 def resize_bilinear(field, r_out: int) -> np.ndarray:
@@ -196,8 +208,9 @@ def resize_bilinear(field, r_out: int) -> np.ndarray:
     i0 = np.minimum(u.astype(int), r_in - 2)
     frac = u - i0
     i1 = i0 + 1
-    rows = vals[i0][:, i1] * frac[None, :] + vals[i0][:, i0] * (1.0 - frac[None, :])
-    rows1 = vals[i1][:, i1] * frac[None, :] + vals[i1][:, i0] * (1.0 - frac[None, :])
+    top, bottom = vals[i0], vals[i1]
+    rows = top[:, i1] * frac[None, :] + top[:, i0] * (1.0 - frac[None, :])
+    rows1 = bottom[:, i1] * frac[None, :] + bottom[:, i0] * (1.0 - frac[None, :])
     return rows * (1.0 - frac[:, None]) + rows1 * frac[:, None]
 
 
@@ -205,6 +218,7 @@ def sample_window(lam: float, rng: np.random.Generator) -> Window:
     """Uniformly place a window with sides lam * domain side inside the domain."""
     if not (is_real(lam) and 0.0 < lam <= 1.0):
         raise ContractError(f"window scale must be a real number in (0, 1], got {lam!r}")
+    _require_generator(rng)
     side = lam * (DOMAIN_HI - DOMAIN_LO)
     corner = rng.uniform(DOMAIN_LO, DOMAIN_HI - side, size=2)
     return Window(lo=(float(corner[0]), float(corner[1])), side=(side, side))
@@ -230,19 +244,22 @@ def build_soo_stack(
     The evaluation budget is spent at r_probe only; resizing never
     re-evaluates.
     """
-    if len(instance_seeds) != VIEWS_PER_STACK:
-        raise ContractError(f"need {VIEWS_PER_STACK} instance seeds")
+    seeds = list(instance_seeds) if np.iterable(instance_seeds) else []
+    if len(seeds) != VIEWS_PER_STACK or not all(is_integer(s) for s in seeds):
+        raise ContractError(f"instance_seeds must be {VIEWS_PER_STACK} integers, got {instance_seeds!r}")
+    if not is_integer(slice_seed):
+        raise ContractError(f"slice_seed must be an integer, got {slice_seed!r}")
     require_integer("r_out", r_out, 2)
     counter = EvalCounter()
     views = np.empty((VIEWS_PER_STACK, r_out, r_out))
     source = []
-    for idx, inst_seed in enumerate(instance_seeds):
+    for idx, inst_seed in enumerate(seeds):
         pid = ProblemId(
             kind="soo", function_code=function_code, dimension=dimension, instance_index=idx
         )
         inst = make_instance(pid, inst_seed)
         rng = np.random.default_rng(
-            np.random.SeedSequence([slice_seed & 0xFFFFFFFFFFFFFFFF, idx])
+            np.random.SeedSequence([int(slice_seed) & 0xFFFFFFFFFFFFFFFF, idx])
         )
         plan = plan_slice(dimension, rng)
         raw = probe_grid(inst, plan, r_probe, counter=counter)

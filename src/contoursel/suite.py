@@ -37,7 +37,7 @@ MOO_DIMENSION = 2
 
 # Points per evaluation block: a block's coordinates and the formulas'
 # temporaries stay in cache (4096 to 16384 timed alike, 65536 slower).
-SOO_BLOCK_POINTS = 8192
+BLOCK_POINTS = 8192
 
 # Group analogy: 1 separable, 2 low-conditioned valley, 3 high-conditioned,
 # 4 multimodal with global structure, 5 multimodal with weak structure.
@@ -138,6 +138,9 @@ def make_instance(pid: ProblemId, seed: int) -> ProblemInstance:
     ZDT problems are canonical (no shift); bi_sphere draws its two centers
     from the same seeded stream.
     """
+    if not is_integer(seed):
+        raise ContractError(f"instance seed must be an integer, got {seed!r}")
+    seed = int(seed)  # a numpy integer would overflow the 64-bit mask below
     rng = _instance_rng(pid, seed)
     if pid.kind == "soo":
         x_opt = rng.uniform(SHIFT_LO, SHIFT_HI, size=pid.dimension)
@@ -235,15 +238,21 @@ def _batch_points(xs, d: int) -> np.ndarray:
     return xs
 
 
+def _blocks(xs):
+    """(slice, (d, m) coordinate rows) per block of BLOCK_POINTS points."""
+    for start in range(0, len(xs), BLOCK_POINTS):
+        blk = slice(start, start + BLOCK_POINTS)
+        yield blk, xs[blk].T
+
+
 def evaluate_soo_batch(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
     """Evaluate a (n, d) batch of finite points on a single-objective instance."""
     if inst.id.kind != "soo":
         raise ContractError("evaluate_soo on a non-SOO instance")
     xs = _batch_points(xs, inst.dimension)
     out = np.empty(len(xs))
-    for start in range(0, len(xs), SOO_BLOCK_POINTS):
-        blk = slice(start, start + SOO_BLOCK_POINTS)
-        z = np.subtract(xs[blk].T, inst.x_opt[:, None], order="C")
+    for blk, rows in _blocks(xs):
+        z = np.subtract(rows, inst.x_opt[:, None], order="C")
         if inst.id.function_code == "rosenbrock":
             z += 1.0
         out[blk] = _SOO_FORMULAS[inst.id.function_code](z)
@@ -262,7 +271,8 @@ def evaluate_soo(inst: ProblemInstance, x: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Bi-objective formulas.  The toolkit domain is [-5, 5]^2 everywhere; ZDT's
 # native [0, 1]^2 box is reached through an affine map so the prober only
-# ever deals with one domain convention.
+# ever deals with one domain convention.  Points are read as (2, n) coordinate
+# rows and fill a (2, n) output, so the (n, 2) result has contiguous columns.
 
 
 def _to_unit(xs):
@@ -280,20 +290,25 @@ def _zdt_f2(code, f1, g):
 
 
 def evaluate_moo_batch(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a (n, 2) batch of finite points; returns an (n, 2) array of
-    objective pairs."""
+    """Evaluate a (n, 2) batch of finite points into (n, 2) objective pairs."""
     if inst.id.kind != "moo":
         raise ContractError("evaluate_moo on a non-MOO instance")
     xs = _batch_points(xs, 2)
     code = inst.id.function_code
-    if code == "bi_sphere":
-        a, b = inst.centers
-        f1 = np.sum((xs - a) ** 2, axis=-1)
-        f2 = np.sum((xs - b) ** 2, axis=-1)
-        return np.stack([f1, f2], axis=-1)
-    u = _to_unit(xs)
-    f1 = u[:, 0]
-    return np.stack([f1, _zdt_f2(code, f1, 1.0 + 9.0 * u[:, 1])], axis=-1)
+    out = np.empty((2, len(xs)))
+    for blk, rows in _blocks(xs):
+        if code == "bi_sphere":
+            a, b = inst.centers
+            out[0, blk] = sum((rows - a[:, None]) ** 2)
+            out[1, blk] = sum((rows - b[:, None]) ** 2)
+        else:
+            # ZDT is defined on its box only; outside it zdt1 and zdt3 take roots of negatives
+            if rows.min() < DOMAIN_LO or rows.max() > DOMAIN_HI:
+                raise DataError(f"{code} points must lie in the domain [{DOMAIN_LO}, {DOMAIN_HI}]^2")
+            u = _to_unit(rows)
+            out[0, blk] = u[0]
+            out[1, blk] = _zdt_f2(code, u[0], 1.0 + 9.0 * u[1])
+    return out.T
 
 
 def evaluate_moo(inst: ProblemInstance, x: np.ndarray) -> tuple[float, float]:

@@ -2,15 +2,22 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from test_suite import SOO_CONFIGS, assert_matches_row_major_oracle, row_major_oracle
+from test_suite import (
+    SOO_CONFIGS,
+    assert_matches_row_major_oracle,
+    assert_same_bits,
+    moo_row_major_oracle,
+    row_major_oracle,
+)
 
 from contoursel import prober
 from contoursel.errors import ContractError, DataError
 from contoursel.prober import (
+    FULL_DOMAIN,
     EvalCounter,
     SlicePlan,
     Window,
@@ -25,12 +32,63 @@ from contoursel.prober import (
     sample_window,
     write_pgm,
 )
-from contoursel.suite import ProblemId, make_instance
+from contoursel.suite import MOO_FUNCTIONS, ProblemId, make_instance
 
 
 def sphere_instance(d=2, seed=0, idx=0):
     pid = ProblemId(kind="soo", function_code="sphere", dimension=d, instance_index=idx)
     return make_instance(pid, seed)
+
+
+def moo_instance(code, seed=0):
+    return make_instance(ProblemId(kind="moo", function_code=code, dimension=2, instance_index=0), seed)
+
+
+# The grid and the three finishing steps as first written, out of place.
+# The prober's versions fill preallocated arrays and are pinned to these.
+def grid_points_oracle(inst, plan, r, window):
+    ax_a = np.linspace(window.lo[0], window.lo[0] + window.side[0], r)
+    ax_b = np.linspace(window.lo[1], window.lo[1] + window.side[1], r)
+    pts = np.zeros((inst.dimension, r * r))
+    pts[plan.axes[0]] = np.tile(ax_a, r)
+    pts[plan.axes[1]] = np.repeat(ax_b, r)
+    return pts.T
+
+
+def normalize_oracle(field):
+    vals = np.asarray(field, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise DataError("cannot normalize a field with NaN or inf values")
+    lo, hi = vals.min(), vals.max()
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    if hi == lo:
+        return np.full_like(vals, 0.5)
+    if np.isfinite(span):
+        return (vals - lo) / span
+    return (vals * 0.5 - lo * 0.5) / (hi * 0.5 - lo * 0.5)
+
+
+def quantize_levels_oracle(field, levels):
+    vals = np.asarray(field, dtype=float)
+    if levels == 0:
+        return vals
+    v = np.minimum(vals, 1.0 - 1e-12)
+    return (np.floor(v * levels) + 0.5) / levels
+
+
+def resize_bilinear_oracle(field, r_out):
+    vals = np.asarray(field, dtype=float)
+    r_in = vals.shape[0]
+    if r_out == r_in:
+        return vals.copy()
+    u = np.arange(r_out) * (r_in - 1) / (r_out - 1)
+    i0 = np.minimum(u.astype(int), r_in - 2)
+    frac = u - i0
+    i1 = i0 + 1
+    rows = vals[i0][:, i1] * frac[None, :] + vals[i0][:, i0] * (1.0 - frac[None, :])
+    rows1 = vals[i1][:, i1] * frac[None, :] + vals[i1][:, i0] * (1.0 - frac[None, :])
+    return rows * (1.0 - frac[:, None]) + rows1 * frac[:, None]
 
 
 class TestPlanSlice:
@@ -59,6 +117,22 @@ class TestPlanSlice:
     def test_d1_invalid(self):
         with pytest.raises(ContractError):
             plan_slice(1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("d", [3.0, "3", None, True])
+    def test_non_integer_dimension_rejected(self, d):
+        with pytest.raises(ContractError, match="slice dimension"):
+            plan_slice(d, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("rng", [7, None, np.random.RandomState(0)])
+    def test_rng_must_be_a_generator(self, d, rng):
+        with pytest.raises(ContractError, match="Generator"):
+            plan_slice(d, rng)
+
+    @pytest.mark.parametrize("axes", [(0,), (0, 1, 2), 5, [0, 1], None])
+    def test_axes_must_be_a_pair(self, axes):
+        with pytest.raises(ContractError, match="slice axes"):
+            SlicePlan(axes=axes)
 
 
 class TestProbeGrid:
@@ -112,6 +186,33 @@ class TestProbeGrid:
             pts[:, axes[0]] = grid_a.ravel()
             pts[:, axes[1]] = grid_b.ravel()
             assert_matches_row_major_oracle(probe_grid(inst, SlicePlan(axes=axes), r).ravel(), inst, pts)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 10])
+    def test_grid_equals_the_tile_repeat_grid(self, d):
+        windows = [FULL_DOMAIN, sample_window(0.1, np.random.default_rng(d))]
+        inst = sphere_instance(d=d)
+        for i in range(d):
+            for j in range(d):
+                if i == j:
+                    continue
+                plan = SlicePlan(axes=(i, j))
+                for window in windows:
+                    got = prober._grid_points(inst, plan, 7, window)
+                    assert_same_bits(got, grid_points_oracle(inst, plan, 7, window))
+
+    @pytest.mark.parametrize("code", MOO_FUNCTIONS)
+    def test_moo_grid_matches_row_major_oracle(self, code):
+        r = 41
+        rng = np.random.default_rng(5)
+        inst = moo_instance(code, 3)
+        for window in [FULL_DOMAIN] + [sample_window(lam, rng) for lam in (0.1, 0.5, 1.0)]:
+            ax_a = np.linspace(window.lo[0], window.lo[0] + window.side[0], r)
+            ax_b = np.linspace(window.lo[1], window.lo[1] + window.side[1], r)
+            grid_b, grid_a = np.meshgrid(ax_b, ax_a, indexing="ij")
+            want = moo_row_major_oracle(inst, np.stack([grid_a.ravel(), grid_b.ravel()], axis=-1))
+            f1, f2 = probe_grid_moo(inst, r, window=window)
+            assert_same_bits(f1, want[:, 0].reshape(r, r))
+            assert_same_bits(f2, want[:, 1].reshape(r, r))
 
     def test_moo_shared_grid_and_counter(self):
         pid = ProblemId(kind="moo", function_code="bi_sphere", dimension=2, instance_index=0)
@@ -230,6 +331,20 @@ def test_views_stay_in_unit_interval(raw, levels, r_out):
         assert np.all((out >= 0.0) & (out <= 1.0))
 
 
+_CONSTANT_FIELDS = st.builds(np.full, st.sampled_from([(1, 1), (2, 2), (5, 5)]), _FINITE)
+
+
+@given(st.one_of(_SQUARE_FIELDS, _CONSTANT_FIELDS), st.integers(0, 40), st.integers(2, 12))
+@example(np.array([[-1e308, 0.0], [1.0, 1e308]]), 4, 3)  # the range overflows
+@example(np.full((3, 3), -2.5), 16, 5)
+def test_finishing_steps_byte_equal_to_out_of_place_oracles(raw, levels, r_out):
+    norm = normalize(raw)
+    assert_same_bits(norm, normalize_oracle(raw))
+    quantized = quantize_levels(norm, levels)
+    assert_same_bits(quantized, quantize_levels_oracle(norm, levels))
+    assert_same_bits(resize_bilinear(quantized, r_out), resize_bilinear_oracle(quantized, r_out))
+
+
 class TestSampleWindow:
     def test_side_from_lambda(self):
         w = sample_window(0.1, np.random.default_rng(0))
@@ -252,6 +367,13 @@ class TestSampleWindow:
         for lam in (0.0, 1.5, True, "a", None):
             with pytest.raises(ContractError, match="window scale"):
                 sample_window(lam, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rng", [7, None, np.random.RandomState(0)])
+    def test_rng_must_be_a_generator(self, rng):
+        with pytest.raises(ContractError, match="Generator"):
+            sample_window(0.1, rng)
+        with pytest.raises(ContractError, match="Generator"):
+            build_moo_stacks(moo_instance("zdt1"), rng, r_probe=8, r_out=4)
 
 
 class TestStacks:
@@ -313,6 +435,40 @@ class TestStacks:
     def test_needs_five_seeds(self):
         with pytest.raises(ContractError):
             build_soo_stack("sphere", 2, instance_seeds=[1, 2], slice_seed=0, r_probe=10, r_out=4)
+
+    @pytest.mark.parametrize("seeds", [[1.5] * 5, 5, None, [1, 2, 3, 4, True], "abcde"])
+    def test_instance_seeds_must_be_five_integers(self, seeds):
+        with pytest.raises(ContractError, match="instance_seeds"):
+            build_soo_stack("sphere", 2, instance_seeds=seeds, slice_seed=0, r_probe=10, r_out=4)
+
+    @pytest.mark.parametrize("slice_seed", [0.5, "0", None, True])
+    def test_slice_seed_must_be_an_integer(self, slice_seed):
+        with pytest.raises(ContractError, match="slice_seed"):
+            build_soo_stack("sphere", 2, instance_seeds=[1, 2, 3, 4, 5], slice_seed=slice_seed, r_probe=10, r_out=4)
+
+    def test_seeds_may_be_numpy_integers(self):
+        plain = build_soo_stack("sphere", 3, [1, 2, 3, 4, 5], 6, r_probe=10, r_out=4)
+        numpy = build_soo_stack("sphere", 3, np.arange(1, 6), np.int64(6), r_probe=10, r_out=4)
+        assert plain.views.tobytes() == numpy.views.tobytes() and plain.source == numpy.source
+
+    def test_moo_stacks_byte_equal_to_out_of_place_oracles(self, monkeypatch):
+        def stacks():
+            return [
+                build_moo_stacks(moo_instance(code, 9), np.random.default_rng(4), lam=lam, r_probe=24, r_out=8)
+                for code in MOO_FUNCTIONS
+                for lam in (0.1, 1.0)
+            ]
+
+        fast = stacks()
+        monkeypatch.setattr(prober, "evaluate_moo_batch", moo_row_major_oracle)
+        monkeypatch.setattr(prober, "_grid_points", grid_points_oracle)
+        monkeypatch.setattr(prober, "normalize", normalize_oracle)
+        monkeypatch.setattr(prober, "quantize_levels", quantize_levels_oracle)
+        monkeypatch.setattr(prober, "resize_bilinear", resize_bilinear_oracle)
+        for new_pair, old_pair in zip(fast, stacks(), strict=True):
+            for new, old in zip(new_pair, old_pair):
+                assert new.views.tobytes() == old.views.tobytes()
+                assert (new.source, new.evaluations_spent) == (old.source, old.evaluations_spent)
 
     def test_moo_stacks_share_windows(self):
         pid = ProblemId(kind="moo", function_code="zdt1", dimension=2, instance_index=0)

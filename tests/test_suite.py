@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from contoursel import suite
-from contoursel.errors import ContractError, InvalidProblemError
+from contoursel.errors import ContractError, DataError, InvalidProblemError
 from contoursel.suite import (
     MOO_FUNCTIONS,
     SOO_DIMENSIONS,
@@ -91,6 +91,32 @@ def assert_matches_row_major_oracle(values, inst, xs):
         assert np.all(np.abs(values - want) <= ORACLE_ULPS * np.spacing(scale))
 
 
+def moo_row_major_oracle(inst, xs):
+    """evaluate_moo_batch as first written: row-major (n, 2) points, the two
+    objectives summed over the last axis and interleaved by np.stack."""
+    xs = np.asarray(xs, dtype=float)
+    code = inst.id.function_code
+    if code == "bi_sphere":
+        a, b = inst.centers
+        return np.stack([np.sum((xs - a) ** 2, axis=-1), np.sum((xs - b) ** 2, axis=-1)], axis=-1)
+    u = (xs - suite.DOMAIN_LO) / (suite.DOMAIN_HI - suite.DOMAIN_LO)
+    f1, g = u[:, 0], 1.0 + 9.0 * u[:, 1]
+    ratio = f1 / g
+    if code == "zdt1":
+        f2 = g * (1.0 - np.sqrt(ratio))
+    elif code == "zdt2":
+        f2 = g * (1.0 - ratio**2)
+    else:
+        f2 = g * (1.0 - np.sqrt(ratio) - ratio * np.sin(10.0 * np.pi * f1))
+    return np.stack([f1, f2], axis=-1)
+
+
+def assert_same_bits(got, want):
+    """Same shape and the same float64 bytes (unlike ==, -0.0 differs from 0.0)."""
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def moo_id(code="zdt1", idx=0):
     return ProblemId(kind="moo", function_code=code, dimension=2, instance_index=idx)
 
@@ -174,7 +200,7 @@ def test_batch_matches_row_major_oracle_on_random_points(code, d):
 
 @pytest.mark.parametrize("code, d", SOO_CONFIGS)
 def test_memory_layout_and_block_boundaries_change_no_bit(code, d):
-    block = suite.SOO_BLOCK_POINTS
+    block = suite.BLOCK_POINTS
     inst = make_instance(soo_id(code, d), 5)
     xs = np.random.default_rng(1).uniform(-5.0, 5.0, size=(block + 2, d))
     whole = evaluate_soo_batch(inst, xs)
@@ -183,6 +209,63 @@ def test_memory_layout_and_block_boundaries_change_no_bit(code, d):
         np.testing.assert_array_equal(evaluate_soo_batch(inst, xs[:n]), whole[:n])
         np.testing.assert_array_equal(evaluate_soo_batch(inst, xs[n:]), whole[n:])
     assert [evaluate_soo(inst, x) for x in xs[block - 2 : block + 2]] == whole[block - 2 : block + 2].tolist()
+
+
+@pytest.mark.parametrize("code", MOO_FUNCTIONS)
+def test_moo_batch_matches_row_major_oracle_on_random_points(code):
+    rng = np.random.default_rng(len(code))
+    for idx in range(3):
+        inst = make_instance(moo_id(code, idx), 17)
+        xs = rng.uniform(-5.0, 5.0, size=(3000, 2))
+        xs[:4] = [[-5.0, -5.0], [5.0, 5.0], [-5.0, 5.0], [0.0, -5.0]]  # the domain's corners and edges
+        assert_same_bits(evaluate_moo_batch(inst, xs), moo_row_major_oracle(inst, xs))
+
+
+@pytest.mark.parametrize("code", MOO_FUNCTIONS)
+def test_moo_memory_layout_and_block_boundaries_change_no_bit(code):
+    block = suite.BLOCK_POINTS
+    inst = make_instance(moo_id(code), 5)
+    xs = np.random.default_rng(2).uniform(-5.0, 5.0, size=(block + 2, 2))
+    whole = evaluate_moo_batch(inst, xs)
+    assert_same_bits(evaluate_moo_batch(inst, np.asfortranarray(xs)), whole)
+    for n in (0, 1, block - 1, block + 1):
+        assert_same_bits(evaluate_moo_batch(inst, xs[:n]), whole[:n])
+        assert_same_bits(evaluate_moo_batch(inst, xs[n:]), whole[n:])
+    assert [evaluate_moo(inst, x) for x in xs[block - 2 : block + 2]] == list(map(tuple, whole[block - 2 : block + 2].tolist()))
+
+
+@pytest.mark.parametrize("code", MOO_FUNCTIONS)
+def test_moo_batch_objective_columns_are_contiguous(code):
+    pairs = evaluate_moo_batch(make_instance(moo_id(code), 1), np.zeros((10, 2)))
+    assert pairs.shape == (10, 2)
+    assert pairs[:, 0].flags.c_contiguous and pairs[:, 1].flags.c_contiguous
+
+
+@pytest.mark.parametrize("code", ["zdt1", "zdt2", "zdt3"])
+@pytest.mark.parametrize("point", [(-6.0, -6.0), (5.5, 0.0), (0.0, -5.000001), (0.0, 5.000001)])
+def test_zdt_points_outside_the_domain_rejected(code, point):
+    inst = make_instance(moo_id(code), 0)
+    xs = np.zeros((suite.BLOCK_POINTS + 1, 2))
+    xs[-1] = point  # in the second block, so every block is checked
+    for bad in (xs, [point]):
+        with pytest.raises(DataError, match=r"domain \[-5.0, 5.0\]\^2"):
+            evaluate_moo_batch(inst, bad)
+    with pytest.raises(DataError, match="domain"):
+        evaluate_moo(inst, np.array(point))
+
+
+def test_bi_sphere_is_defined_outside_the_domain():
+    inst = make_instance(moo_id("bi_sphere"), 0)
+    xs = np.array([[-6.0, -6.0], [50.0, 0.0]])
+    assert_same_bits(evaluate_moo_batch(inst, xs), moo_row_major_oracle(inst, xs))
+
+
+@pytest.mark.parametrize("seed", [1.5, "a", True, None, np.float64(1.0)])
+def test_non_integer_instance_seed_rejected(seed):
+    with pytest.raises(ContractError, match="instance seed"):
+        make_instance(soo_id(), seed)
+    with pytest.raises(ContractError, match="instance seed"):
+        make_instance(moo_id("bi_sphere"), seed)
 
 
 def test_batch_matches_scalar():
