@@ -50,10 +50,12 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and -math.inf < value < math.inf
 
 
-def require_integer(name: str, value, minimum: int) -> None:
-    """Raise ContractError unless value is an integer of at least minimum."""
+def require_integer(name: str, value, minimum: int | None = None) -> None:
+    """Raise ContractError unless value is an integer, of at least minimum
+    when one is given."""
     if not is_integer(value, minimum):
-        raise ContractError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ContractError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def float_array(value, what: str) -> np.ndarray:

@@ -340,8 +340,7 @@ class TrainConfig:
             raise ContractError(f"learning_rate must be finite and positive, got {lr!r}")
         require_integer("epochs", self.epochs, 1)
         require_integer("batch_size", self.batch_size, 1)
-        if not is_integer(self.seed):
-            raise ContractError(f"seed must be an integer, got {self.seed!r}")
+        require_integer("seed", self.seed)
         if not isinstance(self.augment, bool):
             raise ContractError(f"augment must be a bool, got {self.augment!r}")
 

@@ -127,8 +127,12 @@ def relert_matrix(erts: dict, penalty_override: float | None = None) -> RelErtTa
     """
     if penalty_override is not None and not (is_real(penalty_override) and penalty_override >= 1):
         raise ContractError(f"penalty_override must be a finite real >= 1, got {penalty_override!r}")
+    if not isinstance(erts, dict):
+        raise DataError(f"erts must be a dict keyed by (function, dimension, algorithm), not {type(erts).__name__}")
     for key, v in erts.items():
-        if v is not None and not (math.isfinite(v) and v > 0):
+        if not (isinstance(key, tuple) and len(key) == 3):
+            raise DataError(f"ERT key {key!r} is not a (function, dimension, algorithm) triple")
+        if v is not None and not (is_real(v) and v > 0):
             raise DataError(f"ERT for {key} must be finite and positive, got {v!r}")
     algorithms = tuple(sorted({a for (_, _, a) in erts}))
     configs = sorted({(f, d) for (f, d, _) in erts})
@@ -241,7 +245,7 @@ def rel_hv(hv, hv_sbs, hv_vbs):
 
 def reference_point(fronts) -> tuple[float, float]:
     """Per-instance HV reference: the least favorable corner of all fronts,
-    inflated by 10%."""
+    inflated by 10%; DataError when a corner coordinate is not positive."""
     try:
         fronts = list(fronts)
     except TypeError:
@@ -253,6 +257,9 @@ def reference_point(fronts) -> tuple[float, float]:
     if not np.all(np.isfinite(points)):
         raise DataError("cannot derive a reference point from fronts with NaN or inf values")
     worst = np.max(points, axis=0)
+    for k, w in enumerate(worst):
+        if w <= 0:
+            raise DataError(f"worst objective {k + 1} is {w}; inflating a value <= 0 cannot clear the fronts")
     return (float(worst[0] * REFERENCE_INFLATION), float(worst[1] * REFERENCE_INFLATION))
 
 
@@ -276,16 +283,16 @@ class MooPerfTable:
 def build_moo_table(records, hv_best: dict) -> MooPerfTable:
     """Aggregate MOO run records into the relHV matrices.
 
-    hv values are normalized by the per-instance best-known HV, then averaged
-    over repetitions before the SBS/VBS split (see the report disclaimer for
-    this aggregation choice).  The SBS has the highest mean hv_norm over
+    Each (instance, algorithm) cell is the mean over repetitions of hv
+    normalized by the instance's best-known HV; the SBS/VBS split is taken
+    on these means, not per repetition.  The SBS has the highest mean hv_norm over
     instances, ties broken by lexicographic id; the VBS of an instance is the
     best hv_norm in its row.
     """
     groups: dict[tuple, list] = {}
     for r in records:
-        if not math.isfinite(r.hv):
-            raise DataError(f"hv of ({r.instance}, {r.algorithm}, {r.repetition}) is {r.hv}, not finite")
+        if not is_real(r.hv):
+            raise DataError(f"hv of ({r.instance}, {r.algorithm}, {r.repetition}) is {r.hv!r}, not a finite number")
         groups.setdefault((r.instance, r.algorithm), []).append(r.hv)
     if not groups:
         raise DataError("no MOO run records")
@@ -294,7 +301,7 @@ def build_moo_table(records, hv_best: dict) -> MooPerfTable:
     for inst in instances:
         if inst not in hv_best:
             raise DataError(f"no best-known HV for instance {inst!r}")
-        if not (math.isfinite(hv_best[inst]) and hv_best[inst] > 0):
+        if not (is_real(hv_best[inst]) and hv_best[inst] > 0):
             raise DataError(f"best-known HV for {inst!r} must be finite and positive")
         for a in algorithms:
             if (inst, a) not in groups:

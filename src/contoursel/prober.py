@@ -24,36 +24,13 @@ from .suite import (
     evaluate_moo_batch,
     evaluate_soo_batch,
     make_instance,
+    require_instance,
 )
 
 DEFAULT_PROBE_RESOLUTION = 300
 DEFAULT_LEVELS = 16
 VIEWS_PER_STACK = 5
 MOO_WINDOW_SCALE = 0.1
-
-
-@dataclass
-class EvalCounter:
-    """Counts objective evaluations spent while probing."""
-
-    spent: int = 0
-
-    def add(self, n: int) -> None:
-        self.spent += int(n)
-
-
-@dataclass(frozen=True)
-class SlicePlan:
-    """The two coordinates spanning the probed cross-section (others at 0)."""
-
-    axes: tuple[int, int]
-
-    def __post_init__(self):
-        if not (isinstance(self.axes, tuple) and len(self.axes) == 2):
-            raise ContractError(f"slice axes must be a pair, got {self.axes!r}")
-        i, j = self.axes
-        if i == j:
-            raise ContractError("slice axes must differ")
 
 
 @dataclass(frozen=True)
@@ -81,10 +58,6 @@ class ContourStack:
     source: list[dict]
     evaluations_spent: int
 
-    @property
-    def resolution(self) -> int:
-        return self.views.shape[-1]
-
     def as_array(self) -> np.ndarray:
         """A (k, r, r) float64 copy of the views."""
         return self.views.copy()
@@ -95,58 +68,52 @@ def _require_generator(rng) -> None:
         raise ContractError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
 
 
-def plan_slice(d: int, rng: np.random.Generator) -> SlicePlan:
-    """Choose the 2-D cross-section: uniform over unordered coordinate pairs."""
+def plan_slice(d: int, rng: np.random.Generator) -> tuple[int, int]:
+    """Choose the 2-D cross-section: an ascending (i, j) pair of coordinates,
+    uniform over unordered pairs; (0, 1) when d == 2."""
     require_integer("slice dimension", d, 2)
     _require_generator(rng)
     if d == 2:
-        return SlicePlan(axes=(0, 1))
+        return (0, 1)
     pair = rng.choice(d, size=2, replace=False)
-    i, j = int(pair.min()), int(pair.max())
-    return SlicePlan(axes=(i, j))
+    return int(pair.min()), int(pair.max())
 
 
-def _grid_points(inst: ProblemInstance, plan: SlicePlan, r: int, window: Window):
+def _grid_points(inst: ProblemInstance, axes: tuple[int, int], r: int, window: Window):
     """(r*r, d) evaluation points for the grid, the second slice coordinate
     as the slow (row) index; column-major, so each coordinate is contiguous."""
     require_integer("grid resolution", r, 2)
     d = inst.dimension
-    if not all(is_integer(axis, 0) and axis < d for axis in plan.axes):
-        raise ContractError(f"slice axes {plan.axes} must lie in [0, {d})")
+    if not (
+        isinstance(axes, tuple) and len(axes) == 2
+        and all(is_integer(axis, 0) and axis < d for axis in axes) and axes[0] != axes[1]
+    ):
+        raise ContractError(f"slice axes must be two different coordinates in [0, {d}), got {axes!r}")
     ax_a = np.linspace(window.lo[0], window.lo[0] + window.side[0], r)
     ax_b = np.linspace(window.lo[1], window.lo[1] + window.side[1], r)
     pts = np.zeros((d, r, r))
-    pts[plan.axes[0]] = ax_a
-    pts[plan.axes[1]] = ax_b[:, None]
+    pts[axes[0]] = ax_a
+    pts[axes[1]] = ax_b[:, None]
     return pts.reshape(d, r * r).T
 
 
-def probe_grid(
-    inst: ProblemInstance, plan: SlicePlan, r: int, counter: EvalCounter | None = None
-) -> np.ndarray:
+def probe_grid(inst: ProblemInstance, axes: tuple[int, int], r: int) -> np.ndarray:
     """Evaluate a SOO instance on an endpoint-inclusive r x r grid over the
-    full domain; entry [b, a] holds the point with the a-th first and b-th
-    second slice coordinate (both ascending)."""
-    pts = _grid_points(inst, plan, r, FULL_DOMAIN)
-    values = evaluate_soo_batch(inst, pts).reshape(r, r)
-    if counter is not None:
-        counter.add(r * r)
-    return values
+    full domain, spanned by the slice coordinates axes = (i, j) with every
+    other coordinate at 0; entry [b, a] holds the point with the a-th value
+    of coordinate i and the b-th of coordinate j (both ascending).  The
+    field costs its size, r * r, in evaluations."""
+    require_instance(inst, "soo", "probe_grid")
+    pts = _grid_points(inst, axes, r, FULL_DOMAIN)
+    return evaluate_soo_batch(inst, pts).reshape(r, r)
 
 
 def probe_grid_moo(
-    inst: ProblemInstance,
-    r: int,
-    window: Window = FULL_DOMAIN,
-    counter: EvalCounter | None = None,
+    inst: ProblemInstance, r: int, window: Window = FULL_DOMAIN
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate both objectives of a MOO instance over the same grid."""
-    plan = SlicePlan(axes=(0, 1))
-    pts = _grid_points(inst, plan, r, window)
-    pairs = evaluate_moo_batch(inst, pts)
-    if counter is not None:
-        counter.add(2 * r * r)  # one grid, two fields
-    f1, f2 = pairs.T
+    require_instance(inst, "moo", "probe_grid_moo")
+    f1, f2 = evaluate_moo_batch(inst, _grid_points(inst, (0, 1), r, window)).T
     return f1.reshape(r, r), f2.reshape(r, r)
 
 
@@ -242,15 +209,15 @@ def build_soo_stack(
     Each instance draws its own random slice; views are normalized,
     quantized, and resized independently into one (5, r_out, r_out) array.
     The evaluation budget is spent at r_probe only; resizing never
-    re-evaluates.
+    re-evaluates.  evaluations_spent sums the sizes of the five probed
+    fields, 5 * r_probe**2.
     """
     seeds = list(instance_seeds) if np.iterable(instance_seeds) else []
     if len(seeds) != VIEWS_PER_STACK or not all(is_integer(s) for s in seeds):
         raise ContractError(f"instance_seeds must be {VIEWS_PER_STACK} integers, got {instance_seeds!r}")
-    if not is_integer(slice_seed):
-        raise ContractError(f"slice_seed must be an integer, got {slice_seed!r}")
+    require_integer("slice_seed", slice_seed)
     require_integer("r_out", r_out, 2)
-    counter = EvalCounter()
+    spent = 0
     views = np.empty((VIEWS_PER_STACK, r_out, r_out))
     source = []
     for idx, inst_seed in enumerate(seeds):
@@ -261,13 +228,12 @@ def build_soo_stack(
         rng = np.random.default_rng(
             np.random.SeedSequence([int(slice_seed) & 0xFFFFFFFFFFFFFFFF, idx])
         )
-        plan = plan_slice(dimension, rng)
-        raw = probe_grid(inst, plan, r_probe, counter=counter)
+        axes = plan_slice(dimension, rng)
+        raw = probe_grid(inst, axes, r_probe)
         views[idx] = _finish_view(raw, levels, r_out)
-        source.append(
-            {"instance_index": idx, "seed": int(inst_seed), "axes": list(plan.axes)}
-        )
-    return ContourStack(views=views, source=source, evaluations_spent=counter.spent)
+        spent += raw.size
+        source.append({"instance_index": idx, "seed": int(inst_seed), "axes": list(axes)})
+    return ContourStack(views=views, source=source, evaluations_spent=spent)
 
 
 def build_moo_stacks(
@@ -282,26 +248,22 @@ def build_moo_stacks(
 
     View i of both returned stacks shares window i; the two objectives are
     normalized independently so each keeps its own geometry.  The two stacks
-    hold the halves of one (2, 5, r_out, r_out) array.
+    hold the halves of one (2, 5, r_out, r_out) array.  Each grid point is
+    one evaluation of both objectives, so each stack books the size of the
+    fields it finishes: 5 * r_probe**2 evaluations, as a SOO stack does.
     """
-    if inst.id.kind != "moo":
-        raise ContractError("build_moo_stacks needs a bi-objective instance")
+    require_instance(inst, "moo", "build_moo_stacks")
     require_integer("r_out", r_out, 2)
-    counter = EvalCounter()
+    spent = [0, 0]
     views = np.empty((2, VIEWS_PER_STACK, r_out, r_out))
     source = []
     for i in range(VIEWS_PER_STACK):
         window = sample_window(lam, rng)
-        f1, f2 = probe_grid_moo(inst, r_probe, window=window, counter=counter)
-        for k, raw in enumerate((f1, f2)):
+        for k, raw in enumerate(probe_grid_moo(inst, r_probe, window=window)):
             views[k, i] = _finish_view(raw, levels, r_out)
+            spent[k] += raw.size
         source.append({"window": window.to_json()})
-    # each objective stack books its half of the shared grids' evaluations
-    per_stack = counter.spent // 2
-    return (
-        ContourStack(views=views[0], source=source, evaluations_spent=per_stack),
-        ContourStack(views=views[1], source=source, evaluations_spent=per_stack),
-    )
+    return tuple(ContourStack(views=v, source=source, evaluations_spent=n) for v, n in zip(views, spent))
 
 
 def write_pgm(field, path) -> None:

@@ -110,14 +110,12 @@ class ProblemInstance:
     def dimension(self) -> int:
         return self.id.dimension
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.id.kind,
-            "function_code": self.id.function_code,
-            "dimension": self.id.dimension,
-            "instance_index": self.id.instance_index,
-            "seed": self.seed,
-        }
+
+def require_instance(inst, kind: str, caller: str) -> None:
+    """Raise ContractError unless inst is a ProblemInstance of the given kind, "soo" or "moo"."""
+    if not (isinstance(inst, ProblemInstance) and inst.id.kind == kind):
+        got = inst.id if isinstance(inst, ProblemInstance) else type(inst).__name__
+        raise ContractError(f"{caller} needs a {kind} ProblemInstance, got {got}")
 
 
 def _instance_rng(pid: ProblemId, seed: int) -> np.random.Generator:
@@ -138,8 +136,7 @@ def make_instance(pid: ProblemId, seed: int) -> ProblemInstance:
     ZDT problems are canonical (no shift); bi_sphere draws its two centers
     from the same seeded stream.
     """
-    if not is_integer(seed):
-        raise ContractError(f"instance seed must be an integer, got {seed!r}")
+    require_integer("instance seed", seed)
     seed = int(seed)  # a numpy integer would overflow the 64-bit mask below
     rng = _instance_rng(pid, seed)
     if pid.kind == "soo":
@@ -151,16 +148,6 @@ def make_instance(pid: ProblemId, seed: int) -> ProblemInstance:
         b = rng.uniform(SHIFT_LO, SHIFT_HI, size=2)
         return ProblemInstance(id=pid, seed=seed, x_opt=None, f_opt=None, centers=(a, b))
     return ProblemInstance(id=pid, seed=seed, x_opt=None, f_opt=None)
-
-
-def instance_from_descriptor(desc: dict) -> ProblemInstance:
-    pid = ProblemId(
-        kind=desc["kind"],
-        function_code=desc["function_code"],
-        dimension=int(desc["dimension"]),
-        instance_index=int(desc["instance_index"]),
-    )
-    return make_instance(pid, int(desc["seed"]))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +234,7 @@ def _blocks(xs):
 
 def evaluate_soo_batch(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
     """Evaluate a (n, d) batch of finite points on a single-objective instance."""
-    if inst.id.kind != "soo":
-        raise ContractError("evaluate_soo on a non-SOO instance")
+    require_instance(inst, "soo", "evaluate_soo_batch")
     xs = _batch_points(xs, inst.dimension)
     out = np.empty(len(xs))
     for blk, rows in _blocks(xs):
@@ -291,8 +277,7 @@ def _zdt_f2(code, f1, g):
 
 def evaluate_moo_batch(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
     """Evaluate a (n, 2) batch of finite points into (n, 2) objective pairs."""
-    if inst.id.kind != "moo":
-        raise ContractError("evaluate_moo on a non-MOO instance")
+    require_instance(inst, "moo", "evaluate_moo_batch")
     xs = _batch_points(xs, 2)
     code = inst.id.function_code
     out = np.empty((2, len(xs)))
@@ -327,8 +312,7 @@ def pareto_front_points(inst: ProblemInstance, n: int = 2001) -> np.ndarray:
     is the nondominated subset of that curve.  bi_sphere's Pareto set is the
     segment between its two centers.
     """
-    if inst.id.kind != "moo":
-        raise ContractError("pareto front requested for a non-MOO instance")
+    require_instance(inst, "moo", "pareto_front_points")
     require_integer("pareto front sample count", n, 2)
     t = np.linspace(0.0, 1.0, n)
     code = inst.id.function_code

@@ -5,10 +5,25 @@ a non-finite value would otherwise flow through as a silent NaN."""
 import numpy as np
 import pytest
 
-from contoursel.errors import ContourselError
+from contoursel.errors import ContourselError, ContractError
 from contoursel.neural import Model, ModelSpec, transform_targets
-from contoursel.perfdata import hypervolume_2d, nondominated_2d, reference_point
-from contoursel.prober import normalize, quantize_levels, resize_bilinear, write_pgm
+from contoursel.perfdata import (
+    MooHvRecord,
+    build_moo_table,
+    hypervolume_2d,
+    nondominated_2d,
+    reference_point,
+    relert_matrix,
+)
+from contoursel.prober import (
+    build_moo_stacks,
+    normalize,
+    probe_grid,
+    probe_grid_moo,
+    quantize_levels,
+    resize_bilinear,
+    write_pgm,
+)
 from contoursel.suite import (
     ProblemId,
     evaluate_moo,
@@ -16,6 +31,7 @@ from contoursel.suite import (
     evaluate_soo,
     evaluate_soo_batch,
     make_instance,
+    pareto_front_points,
 )
 
 SOO = make_instance(ProblemId(kind="soo", function_code="sphere", dimension=2, instance_index=0), 0)
@@ -88,6 +104,11 @@ CASES = {
     "targets-text": lambda tmp: transform_targets("log10_relert", TEXT),
     "targets-ragged": lambda tmp: transform_targets("log10_relert", RAGGED),
     "targets-relhv-text": lambda tmp: transform_targets("relhv_clip", TEXT),
+    "relert-not-a-dict": lambda tmp: relert_matrix([(("f", 2, "a"), 10.0)]),
+    "relert-pair-key": lambda tmp: relert_matrix({("f", 2): 10.0}),
+    "relert-text-ert": lambda tmp: relert_matrix({("f", 2, "a"): "10"}),
+    "moo-table-text-hv": lambda tmp: build_moo_table([MooHvRecord("a", "i", 0, "0.5")], {"i": 1.0}),
+    "moo-table-text-best": lambda tmp: build_moo_table([MooHvRecord("a", "i", 0, 0.5)], {"i": "1.0"}),
 }
 
 
@@ -105,3 +126,27 @@ def test_bad_input_raises_a_toolkit_error(call, tmp_path):
 def test_a_non_sequence_argument_is_named(call, name):
     with pytest.raises(ContourselError, match=name):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst: evaluate_soo_batch(inst, [[0.0, 0.0]]),
+    lambda inst: evaluate_soo(inst, [0.0, 0.0]),
+    lambda inst: probe_grid(inst, (0, 1), 4),
+], ids=["soo-batch", "soo", "probe-grid"])
+@pytest.mark.parametrize("inst", [None, "sphere", MOO], ids=["none", "text", "moo-instance"])
+def test_soo_entry_points_need_a_soo_instance(call, inst):
+    with pytest.raises(ContractError, match="soo ProblemInstance"):
+        call(inst)
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst: evaluate_moo_batch(inst, [[0.0, 0.0]]),
+    lambda inst: evaluate_moo(inst, [0.0, 0.0]),
+    lambda inst: pareto_front_points(inst),
+    lambda inst: probe_grid_moo(inst, 4),
+    lambda inst: build_moo_stacks(inst, np.random.default_rng(0), r_probe=4, r_out=4),
+], ids=["moo-batch", "moo", "pareto-front", "probe-grid-moo", "moo-stacks"])
+@pytest.mark.parametrize("inst", [None, "zdt1", SOO], ids=["none", "text", "soo-instance"])
+def test_moo_entry_points_need_a_moo_instance(call, inst):
+    with pytest.raises(ContractError, match="moo ProblemInstance"):
+        call(inst)

@@ -237,10 +237,20 @@ class TestRelErt:
         with pytest.raises(DataError):
             relert_matrix({("f", 2, "a"): None})
 
-    @pytest.mark.parametrize("bad", [0.0, -5.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("bad", [0.0, -5.0, float("inf"), float("nan"), "10", True])
     def test_nonpositive_or_nonfinite_ert_rejected(self, bad):
         with pytest.raises(DataError, match=r"\('f', 2, 'b'\)"):
             relert_matrix({("f", 2, "a"): 10.0, ("f", 2, "b"): bad})
+
+    @pytest.mark.parametrize("erts, named", [
+        ([(("f", 2, "a"), 10.0)], "dict"),
+        ({("f", 2): 10.0}, r"\('f', 2\)"),
+        ({"f2a": 10.0}, "'f2a'"),
+        ({("f", 2, "a", 0): 10.0}, r"\('f', 2, 'a', 0\)"),
+    ], ids=["list", "pair-key", "text-key", "quadruple-key"])
+    def test_malformed_table_rejected(self, erts, named):
+        with pytest.raises(DataError, match=named):
+            relert_matrix(erts)
 
 
 class TestSbsVbs:
@@ -410,6 +420,20 @@ class TestReferencePoint:
         with pytest.raises(DataError, match="two finite numbers"):
             hypervolume_2d([(1.0, 1.0)], bad)
 
+    @pytest.mark.parametrize("fronts, objective", [
+        ([[(-2.0, -3.0), (-1.0, -4.0)]], "objective 1"),
+        ([[(1.0, -3.0)], [(2.0, -4.0)]], "objective 2"),
+        ([[(0.0, 5.0)]], "objective 1"),
+    ], ids=["both-negative", "second-negative", "first-zero"])
+    def test_nonpositive_worst_corner_rejected(self, fronts, objective):
+        # inflating a coordinate <= 0 moves it onto or inside the fronts, so their worst points add no hypervolume
+        with pytest.raises(DataError, match=objective):
+            reference_point(fronts)
+
+    def test_positive_corner_is_the_inflated_product(self):
+        fronts = [[(0.3, 7.0)], [(1e-300, 2.0)]]
+        assert reference_point(fronts) == (0.3 * 1.1, 7.0 * 1.1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_front_rejected(self, bad):
         with pytest.raises(DataError, match="NaN or inf"):
@@ -464,7 +488,9 @@ class TestMooTable:
         with pytest.raises(DataError, match="i3"):
             table.relhv_row("i3")
 
-    @pytest.mark.parametrize("where, value", [("hv", np.nan), ("hv", np.inf), ("best", np.nan), ("best", np.inf)])
+    @pytest.mark.parametrize("where, value", [
+        ("hv", np.nan), ("hv", np.inf), ("best", np.nan), ("best", np.inf), ("hv", "0.5"), ("best", "1.0"),
+    ])
     def test_nonfinite_hv_rejected(self, where, value):
         records = self.make_records()
         hv_best = {"i1": 1.0, "i2": 1.0}

@@ -18,8 +18,6 @@ from contoursel import prober
 from contoursel.errors import ContractError, DataError
 from contoursel.prober import (
     FULL_DOMAIN,
-    EvalCounter,
-    SlicePlan,
     Window,
     build_moo_stacks,
     build_soo_stack,
@@ -46,12 +44,12 @@ def moo_instance(code, seed=0):
 
 # The grid and the three finishing steps as first written, out of place.
 # The prober's versions fill preallocated arrays and are pinned to these.
-def grid_points_oracle(inst, plan, r, window):
+def grid_points_oracle(inst, axes, r, window):
     ax_a = np.linspace(window.lo[0], window.lo[0] + window.side[0], r)
     ax_b = np.linspace(window.lo[1], window.lo[1] + window.side[1], r)
     pts = np.zeros((inst.dimension, r * r))
-    pts[plan.axes[0]] = np.tile(ax_a, r)
-    pts[plan.axes[1]] = np.repeat(ax_b, r)
+    pts[axes[0]] = np.tile(ax_a, r)
+    pts[axes[1]] = np.repeat(ax_b, r)
     return pts.T
 
 
@@ -95,20 +93,21 @@ class TestPlanSlice:
     def test_d2_is_fixed(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
-            assert plan_slice(2, rng).axes == (0, 1)
+            assert plan_slice(2, rng) == (0, 1)
 
     def test_reproducible(self):
         a = plan_slice(5, np.random.default_rng(7))
         b = plan_slice(5, np.random.default_rng(7))
         assert a == b
-        assert a.axes[0] < a.axes[1] < 5
+        assert a[0] < a[1] < 5
+        assert type(a) is tuple and all(type(axis) is int for axis in a)
 
     def test_uniform_over_pairs_d3(self):
         rng = np.random.default_rng(123)
         counts = {}
         n = 10_000
         for _ in range(n):
-            axes = plan_slice(3, rng).axes
+            axes = plan_slice(3, rng)
             counts[axes] = counts.get(axes, 0) + 1
         assert set(counts) == {(0, 1), (0, 2), (1, 2)}
         for c in counts.values():
@@ -129,10 +128,11 @@ class TestPlanSlice:
         with pytest.raises(ContractError, match="Generator"):
             plan_slice(d, rng)
 
-    @pytest.mark.parametrize("axes", [(0,), (0, 1, 2), 5, [0, 1], None])
+    # the pair plan_slice returns is what probe_grid takes and checks
+    @pytest.mark.parametrize("axes", [(0,), (0, 1, 2), 5, [0, 1], None, (1, 1)])
     def test_axes_must_be_a_pair(self, axes):
         with pytest.raises(ContractError, match="slice axes"):
-            SlicePlan(axes=axes)
+            probe_grid(sphere_instance(d=3), axes, 4)
 
 
 class TestProbeGrid:
@@ -140,7 +140,7 @@ class TestProbeGrid:
         inst = sphere_instance()
         inst.x_opt[:] = 0.0
         object.__setattr__(inst, "f_opt", 0.0)
-        f = probe_grid(inst, SlicePlan(axes=(0, 1)), 3)
+        f = probe_grid(inst, (0, 1), 3)
         # endpoint-inclusive grid over [-5, 5]: coordinates {-5, 0, 5}
         expected = np.array(
             [[50.0, 25.0, 50.0], [25.0, 0.0, 25.0], [50.0, 25.0, 50.0]]
@@ -150,29 +150,23 @@ class TestProbeGrid:
     def test_minimum_on_grid_center(self):
         inst = sphere_instance()
         inst.x_opt[:] = 0.0
-        f = probe_grid(inst, SlicePlan(axes=(0, 1)), 5)
+        f = probe_grid(inst, (0, 1), 5)
         b, a = np.unravel_index(np.argmin(f), f.shape)
         assert (b, a) == (2, 2)
         assert f[b, a] == pytest.approx(inst.f_opt)
-
-    def test_evaluation_counter(self):
-        inst = sphere_instance()
-        counter = EvalCounter()
-        probe_grid(inst, SlicePlan(axes=(0, 1)), 300, counter=counter)
-        assert counter.spent == 90_000
 
     def test_row_is_second_coordinate(self):
         # a function increasing in x_1 only must vary along rows
         inst = sphere_instance(d=2)
         inst.x_opt[:] = [0.0, -100.0]  # optimum far below in x_1 direction
-        f = probe_grid(inst, SlicePlan(axes=(0, 1)), 4)
+        f = probe_grid(inst, (0, 1), 4)
         col = f[:, 0]
         assert np.all(np.diff(col) > 0)
 
     @pytest.mark.parametrize("axes", [(2, -1), (-1, 0), (0, 3), (0, 5), (0.0, 1)])
     def test_slice_axes_outside_the_dimension_rejected(self, axes):
         with pytest.raises(ContractError, match="slice axes"):
-            probe_grid(sphere_instance(d=3), SlicePlan(axes=axes), 4)
+            probe_grid(sphere_instance(d=3), axes, 4)
 
     @pytest.mark.parametrize("code, d", SOO_CONFIGS)
     def test_matches_row_major_oracle_on_the_old_grid(self, code, d):
@@ -185,7 +179,7 @@ class TestProbeGrid:
             pts = np.zeros((r * r, d))
             pts[:, axes[0]] = grid_a.ravel()
             pts[:, axes[1]] = grid_b.ravel()
-            assert_matches_row_major_oracle(probe_grid(inst, SlicePlan(axes=axes), r).ravel(), inst, pts)
+            assert_matches_row_major_oracle(probe_grid(inst, axes, r).ravel(), inst, pts)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 10])
     def test_grid_equals_the_tile_repeat_grid(self, d):
@@ -195,10 +189,9 @@ class TestProbeGrid:
             for j in range(d):
                 if i == j:
                     continue
-                plan = SlicePlan(axes=(i, j))
                 for window in windows:
-                    got = prober._grid_points(inst, plan, 7, window)
-                    assert_same_bits(got, grid_points_oracle(inst, plan, 7, window))
+                    got = prober._grid_points(inst, (i, j), 7, window)
+                    assert_same_bits(got, grid_points_oracle(inst, (i, j), 7, window))
 
     @pytest.mark.parametrize("code", MOO_FUNCTIONS)
     def test_moo_grid_matches_row_major_oracle(self, code):
@@ -214,12 +207,13 @@ class TestProbeGrid:
             assert_same_bits(f1, want[:, 0].reshape(r, r))
             assert_same_bits(f2, want[:, 1].reshape(r, r))
 
-    def test_moo_shared_grid_and_counter(self):
-        pid = ProblemId(kind="moo", function_code="bi_sphere", dimension=2, instance_index=0)
-        inst = make_instance(pid, 1)
-        counter = EvalCounter()
-        f1, f2 = probe_grid_moo(inst, 16, counter=counter)
-        assert counter.spent == 2 * 16 * 16
+    def test_moo_shared_grid_and_counter(self, monkeypatch):
+        # both fields come from one evaluator call on one 16 x 16 grid
+        calls = []
+        evaluate = prober.evaluate_moo_batch
+        monkeypatch.setattr(prober, "evaluate_moo_batch", lambda inst, xs: calls.append(len(xs)) or evaluate(inst, xs))
+        f1, f2 = probe_grid_moo(moo_instance("bi_sphere", 1), 16)
+        assert calls == [16 * 16]
         assert f1.shape == f2.shape == (16, 16)
 
 
@@ -401,6 +395,23 @@ class TestStacks:
         np.testing.assert_array_equal(a.as_array(), b.as_array())
         assert a.source == b.source
 
+    def test_evaluations_spent_is_what_the_evaluators_received(self, monkeypatch):
+        received = []
+
+        def counting(evaluate):
+            return lambda inst, xs: received.append(len(xs)) or evaluate(inst, xs)
+
+        monkeypatch.setattr(prober, "evaluate_soo_batch", counting(prober.evaluate_soo_batch))
+        monkeypatch.setattr(prober, "evaluate_moo_batch", counting(prober.evaluate_moo_batch))
+        for code, d in SOO_CONFIGS:
+            received.clear()
+            stack = build_soo_stack(code, d, [1, 2, 3, 4, 5], 7, r_probe=12, r_out=4)
+            assert stack.evaluations_spent == sum(received) == 5 * 12 * 12
+        for code in MOO_FUNCTIONS:
+            received.clear()
+            pair = build_moo_stacks(moo_instance(code), np.random.default_rng(0), r_probe=12, r_out=4)
+            assert [s.evaluations_spent for s in pair] == [sum(received)] * 2 == [5 * 12 * 12] * 2
+
     def test_resize_does_not_change_budget(self):
         common = dict(instance_seeds=[1, 2, 3, 4, 5], slice_seed=0, r_probe=40)
         small = build_soo_stack("sphere", 2, r_out=16, **common)
@@ -427,7 +438,7 @@ class TestStacks:
 
     def test_views_are_one_array(self):
         stack = build_soo_stack("sphere", 2, instance_seeds=[1, 2, 3, 4, 5], slice_seed=0, r_probe=10, r_out=4)
-        assert stack.views.shape == (5, 4, 4) and stack.resolution == 4
+        assert stack.views.shape == (5, 4, 4)
         copy = stack.as_array()
         copy[...] = -1.0
         assert stack.views.min() >= 0.0

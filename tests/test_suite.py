@@ -12,7 +12,6 @@ from contoursel.suite import (
     evaluate_moo_batch,
     evaluate_soo,
     evaluate_soo_batch,
-    instance_from_descriptor,
     make_instance,
     pareto_front_points,
     true_group,
@@ -354,15 +353,3 @@ def test_true_group_mapping():
     assert true_group("ackley") == 5
     with pytest.raises(InvalidProblemError):
         true_group("zdt1")
-
-
-def test_descriptor_round_trip():
-    for code in SOO_FUNCTIONS[:2] + MOO_FUNCTIONS[:1]:
-        kind = "soo" if code in SOO_FUNCTIONS else "moo"
-        d = 3 if kind == "soo" else 2
-        pid = ProblemId(kind=kind, function_code=code, dimension=d, instance_index=1)
-        inst = make_instance(pid, 42)
-        again = instance_from_descriptor(inst.descriptor())
-        assert again.id == inst.id
-        if inst.x_opt is not None:
-            assert np.array_equal(again.x_opt, inst.x_opt)
