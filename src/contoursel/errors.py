@@ -47,7 +47,9 @@ def is_integer(value, minimum: int | None = None) -> bool:
 
 def is_real(value) -> bool:
     """True for a finite Python or numpy real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and -math.inf < value < math.inf
+    # the float fast path, as in is_integer: every MooHvRecord checks its hv
+    real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and -math.inf < value < math.inf
 
 
 def require_integer(name: str, value, minimum: int | None = None) -> None:
@@ -56,6 +58,13 @@ def require_integer(name: str, value, minimum: int | None = None) -> None:
     if not is_integer(value, minimum):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ContractError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def seeded_rng(name: str, seed, *salt: int) -> "np.random.Generator":
+    """The generator of an integer seed, as its 64-bit two's complement, and
+    salt words; ContractError naming the seed when it is not an integer."""
+    require_integer(name, seed)
+    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, *salt]))
 
 
 def float_array(value, what: str) -> np.ndarray:

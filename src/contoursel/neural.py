@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import (
-    ContractError, DataError, ParseError, TrainingError, float_array, is_integer, is_real, require_integer,
+    ContractError, DataError, ParseError, TrainingError, float_array, is_integer, is_real, require_integer, seeded_rng,
 )
 
 MODEL_FORMAT = "contoursel.model"
@@ -254,16 +254,10 @@ class Sequential:
         return g
 
 
-def _he_conv(rng, name, out_ch, in_ch, need_dx=True):
-    w = Param(name + ".w", rng.normal(0.0, np.sqrt(2.0 / (in_ch * 9)), (out_ch, in_ch, 3, 3)))
-    b = Param(name + ".b", rng.uniform(-0.05, 0.05, out_ch))
-    return Layer(conv2d_forward, functools.partial(conv2d_backward, need_dx=need_dx), (w, b))
-
-
-def _he_dense(rng, name, out_n, in_n):
-    w = Param(name + ".w", rng.normal(0.0, np.sqrt(2.0 / in_n), (out_n, in_n)))
-    b = Param(name + ".b", rng.uniform(-0.05, 0.05, out_n))
-    return Layer(dense_forward, dense_backward, (w, b))
+def _he_params(rng, name, shape, fan_in):
+    """He-normal weight of the given shape, drawn first, then a uniform bias per output."""
+    w = Param(name + ".w", rng.normal(0.0, np.sqrt(2.0 / fan_in), shape))
+    return w, Param(name + ".b", rng.uniform(-0.05, 0.05, shape[0]))
 
 
 @dataclass(frozen=True)
@@ -356,8 +350,9 @@ def _encoder(spec: ModelSpec, rng) -> Sequential:
     layers = []
     in_ch = spec.encoder_in_channels
     for i, out_ch in enumerate(spec.encoder_channels):
+        params = _he_params(rng, f"encoder.conv{i}", (out_ch, in_ch, 3, 3), in_ch * 9)
         # the first layer's input is the data: its gradient is never used
-        layers += [_he_conv(rng, f"encoder.conv{i}", out_ch, in_ch, need_dx=i > 0),
+        layers += [Layer(conv2d_forward, functools.partial(conv2d_backward, need_dx=i > 0), params),
                    Layer(maxpool2x2_forward, maxpool2x2_backward),
                    Layer(relu_forward, relu_backward)]
         in_ch = out_ch
@@ -370,9 +365,11 @@ def _head(spec: ModelSpec, rng) -> Sequential:
     layers = []
     in_n = spec.embedding_width + 1  # +1 for the dimension feature
     for i, width in enumerate(spec.head_widths):
-        layers += [_he_dense(rng, f"head.dense{i}", width, in_n), Layer(relu_forward, relu_backward)]
+        params = _he_params(rng, f"head.dense{i}", (width, in_n), in_n)
+        layers += [Layer(dense_forward, dense_backward, params), Layer(relu_forward, relu_backward)]
         in_n = width
-    layers.append(_he_dense(rng, "head.out", spec.output_count, in_n))
+    params = _he_params(rng, "head.out", (spec.output_count, in_n), in_n)
+    layers.append(Layer(dense_forward, dense_backward, params))
     return Sequential(layers)
 
 
@@ -381,7 +378,7 @@ class Model:
 
     def __init__(self, spec: ModelSpec, seed: int):
         self.spec = spec
-        rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0xC0DE]))
+        rng = seeded_rng("seed", seed, 0xC0DE)
         self.encoder = _encoder(spec, rng)
         self.head = _head(spec, rng)
 
@@ -488,7 +485,8 @@ def transform_targets(kind: str, values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """Training samples: one or two stack arrays, dimensions, target vectors."""
+    """Training samples: one or two stack arrays, dimensions, target vectors,
+    each held as a float64 array (float64 input is kept, not copied)."""
 
     stacks: list  # stack_count arrays of shape (n, k, r, r)
     dims: np.ndarray  # (n,)
@@ -496,6 +494,11 @@ class Dataset:
     tags: list = field(default_factory=list)  # opaque per-sample identifiers
 
     def __post_init__(self):
+        if not isinstance(self.stacks, (list, tuple)):
+            raise ContractError(f"stacks must be a list or tuple of stack arrays, got {type(self.stacks).__name__}")
+        self.stacks = [float_array(s, "a stack") for s in self.stacks]
+        self.dims = float_array(self.dims, "problem dimensions")
+        self.targets = float_array(self.targets, "training targets")
         lengths = [len(s) for s in self.stacks] + [len(self.targets)]
         if any(m != len(self.dims) for m in lengths):
             raise ContractError(f"{len(self.dims)} dims but stack and target lengths {lengths}")
@@ -528,7 +531,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig):
         raise ContractError("empty training dataset")
     if not np.all(np.isfinite(dataset.targets)):
         raise DataError("training targets must be finite")
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0xFFFFFFFFFFFFFFFF, 0x7EA1]))
+    rng = seeded_rng("seed", config.seed, 0x7EA1)
     opt = Adam(model.params(), config.learning_rate)
     k = model.spec.view_count
     views = np.broadcast_to(np.arange(k), (n, k))

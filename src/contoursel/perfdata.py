@@ -17,12 +17,11 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError, ParseError, float_array, is_real, require_integer
+from .errors import ContractError, DataError, ParseError, float_array, is_integer, is_real, require_integer
 
 log = logging.getLogger(__name__)
 
@@ -45,12 +44,8 @@ class RunRecord:
     success: bool
 
     def __post_init__(self):
-        for name in ("algorithm", "function_code"):
-            value = getattr(self, name)
-            if not (isinstance(value, str) and value):
-                raise ContractError(f"{name} must be a non-empty string, got {value!r}")
-        for name, minimum in (("dimension", 1), ("instance_index", 0), ("evaluations_used", 1)):
-            require_integer(name, getattr(self, name), minimum)
+        minimums = (("dimension", 1), ("instance_index", 0), ("evaluations_used", 1))
+        _check_fields(self, ("algorithm", "function_code"), minimums)
         if not isinstance(self.success, bool):
             raise ContractError(f"success must be a bool, got {self.success!r}")
 
@@ -63,6 +58,30 @@ class MooHvRecord:
     instance: str
     repetition: int
     hv: float
+
+    def __post_init__(self):
+        _check_fields(self, ("algorithm", "instance"), (("repetition", 0),))
+        if not is_real(self.hv):
+            raise DataError(f"hv of ({self.instance}, {self.algorithm}, {self.repetition}) is {self.hv!r}, not finite")
+
+
+def _check_fields(record, labels, minimums) -> None:
+    """ContractError unless each field named in labels is a non-empty string
+    and each (name, minimum) of minimums an integer field of at least minimum."""
+    for name in labels:
+        value = getattr(record, name)
+        if not (isinstance(value, str) and value):
+            raise ContractError(f"{name} must be a non-empty string, got {value!r}")
+    for name, minimum in minimums:
+        require_integer(name, getattr(record, name), minimum)
+
+
+def _records(records, kind, name: str) -> list:
+    """records as a list; DataError naming the argument unless it is an iterable of kind."""
+    rows = list(records) if np.iterable(records) else [None]
+    if not all(isinstance(r, kind) for r in rows):
+        raise DataError(f"{name} must be an iterable of {kind.__name__} values, got {type(records).__name__}")
+    return rows
 
 
 def ert(records) -> float | None:
@@ -84,7 +103,7 @@ def ert(records) -> float | None:
 def ert_table(records) -> dict:
     """Group records by (function, dimension, algorithm) and compute ERT."""
     groups: dict[tuple, list] = {}
-    for r in records:
+    for r in _records(records, RunRecord, "records"):
         groups.setdefault((r.function_code, r.dimension, r.algorithm), []).append(r)
     return {key: ert(runs) for key, runs in groups.items()}
 
@@ -130,8 +149,9 @@ def relert_matrix(erts: dict, penalty_override: float | None = None) -> RelErtTa
     if not isinstance(erts, dict):
         raise DataError(f"erts must be a dict keyed by (function, dimension, algorithm), not {type(erts).__name__}")
     for key, v in erts.items():
-        if not (isinstance(key, tuple) and len(key) == 3):
-            raise DataError(f"ERT key {key!r} is not a (function, dimension, algorithm) triple")
+        if not (isinstance(key, tuple) and len(key) == 3 and is_integer(key[1], 1)
+                and all(isinstance(label, str) and label for label in key[::2])):
+            raise DataError(f"ERT key {key!r} is not a (function, dimension >= 1, algorithm) triple")
         if v is not None and not (is_real(v) and v > 0):
             raise DataError(f"ERT for {key} must be finite and positive, got {v!r}")
     algorithms = tuple(sorted({a for (_, _, a) in erts}))
@@ -289,10 +309,10 @@ def build_moo_table(records, hv_best: dict) -> MooPerfTable:
     instances, ties broken by lexicographic id; the VBS of an instance is the
     best hv_norm in its row.
     """
+    if not isinstance(hv_best, dict):
+        raise DataError(f"hv_best must be a dict keyed by instance, not {type(hv_best).__name__}")
     groups: dict[tuple, list] = {}
-    for r in records:
-        if not is_real(r.hv):
-            raise DataError(f"hv of ({r.instance}, {r.algorithm}, {r.repetition}) is {r.hv!r}, not a finite number")
+    for r in _records(records, MooHvRecord, "records"):
         groups.setdefault((r.instance, r.algorithm), []).append(r.hv)
     if not groups:
         raise DataError("no MOO run records")
@@ -346,7 +366,7 @@ def _read_csv(path, header, parse_row) -> list:
                     continue
                 try:
                     records.append(parse_row(row))
-                except (ValueError, ContractError) as exc:
+                except (ValueError, ContractError, DataError) as exc:
                     raise ParseError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
         except csv.Error as exc:
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
@@ -372,13 +392,11 @@ def _parse_run(row) -> RunRecord:
 
 def _parse_moo_hv(row) -> MooHvRecord:
     algorithm, instance, repetition, hv = row
-    value = float(hv)
-    if not math.isfinite(value):
-        raise ValueError(f"hv must be finite, got {hv!r}")
-    return MooHvRecord(algorithm=algorithm, instance=instance, repetition=int(repetition), hv=value)
+    return MooHvRecord(algorithm=algorithm, instance=instance, repetition=int(repetition), hv=float(hv))
 
 
 def emit_runs(path, records) -> None:
+    records = _records(records, RunRecord, "records")
     _write_csv(
         path,
         RUN_CSV_HEADER,
@@ -394,7 +412,8 @@ def ingest_runs(path) -> list[RunRecord]:
 
 
 def emit_moo_hv(path, records) -> None:
-    _write_csv(path, MOO_CSV_HEADER, ([r.algorithm, r.instance, r.repetition, repr(r.hv)] for r in records))
+    records = _records(records, MooHvRecord, "records")
+    _write_csv(path, MOO_CSV_HEADER, ([r.algorithm, r.instance, r.repetition, repr(float(r.hv))] for r in records))
 
 
 def ingest_moo_hv(path) -> list[MooHvRecord]:

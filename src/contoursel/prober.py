@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError, float_array, is_integer, is_real, require_integer
+from .errors import ContractError, DataError, float_array, is_integer, is_real, require_integer, seeded_rng
 from .suite import (
     DOMAIN_HI,
     DOMAIN_LO,
@@ -39,6 +39,11 @@ class Window:
 
     lo: tuple[float, float]
     side: tuple[float, float]
+
+    def __post_init__(self):
+        pairs = all(isinstance(v, tuple) and len(v) == 2 and all(map(is_real, v)) for v in (self.lo, self.side))
+        if not (pairs and min(self.side) > 0):
+            raise ContractError(f"a window is a corner and positive sides, each two finite reals, not {self!r}")
 
     def to_json(self) -> dict:
         return {"lo": list(self.lo), "side": list(self.side)}
@@ -113,6 +118,8 @@ def probe_grid_moo(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate both objectives of a MOO instance over the same grid."""
     require_instance(inst, "moo", "probe_grid_moo")
+    if not isinstance(window, Window):
+        raise ContractError(f"window must be a Window, got {type(window).__name__}")
     f1, f2 = evaluate_moo_batch(inst, _grid_points(inst, (0, 1), r, window)).T
     return f1.reshape(r, r), f2.reshape(r, r)
 
@@ -215,7 +222,6 @@ def build_soo_stack(
     seeds = list(instance_seeds) if np.iterable(instance_seeds) else []
     if len(seeds) != VIEWS_PER_STACK or not all(is_integer(s) for s in seeds):
         raise ContractError(f"instance_seeds must be {VIEWS_PER_STACK} integers, got {instance_seeds!r}")
-    require_integer("slice_seed", slice_seed)
     require_integer("r_out", r_out, 2)
     spent = 0
     views = np.empty((VIEWS_PER_STACK, r_out, r_out))
@@ -225,10 +231,7 @@ def build_soo_stack(
             kind="soo", function_code=function_code, dimension=dimension, instance_index=idx
         )
         inst = make_instance(pid, inst_seed)
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(slice_seed) & 0xFFFFFFFFFFFFFFFF, idx])
-        )
-        axes = plan_slice(dimension, rng)
+        axes = plan_slice(dimension, seeded_rng("slice_seed", slice_seed, idx))
         raw = probe_grid(inst, axes, r_probe)
         views[idx] = _finish_view(raw, levels, r_out)
         spent += raw.size

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DataError, InvalidProblemError, float_array, is_integer, require_integer
+from .errors import ContractError, DataError, InvalidProblemError, float_array, is_integer, require_integer, seeded_rng
 from .perfdata import nondominated_2d
 
 DOMAIN_LO = -5.0
@@ -118,17 +118,6 @@ def require_instance(inst, kind: str, caller: str) -> None:
         raise ContractError(f"{caller} needs a {kind} ProblemInstance, got {got}")
 
 
-def _instance_rng(pid: ProblemId, seed: int) -> np.random.Generator:
-    words = [
-        seed & 0xFFFFFFFFFFFFFFFF,
-        _KIND_CODE[pid.kind],
-        _FUNCTION_CODE[pid.function_code],
-        pid.dimension,
-        pid.instance_index,
-    ]
-    return np.random.default_rng(np.random.SeedSequence(words))
-
-
 def make_instance(pid: ProblemId, seed: int) -> ProblemInstance:
     """Build a deterministic instance for (pid, seed).
 
@@ -136,18 +125,17 @@ def make_instance(pid: ProblemId, seed: int) -> ProblemInstance:
     ZDT problems are canonical (no shift); bi_sphere draws its two centers
     from the same seeded stream.
     """
-    require_integer("instance seed", seed)
-    seed = int(seed)  # a numpy integer would overflow the 64-bit mask below
-    rng = _instance_rng(pid, seed)
+    salt = (_KIND_CODE[pid.kind], _FUNCTION_CODE[pid.function_code], pid.dimension, pid.instance_index)
+    rng = seeded_rng("instance seed", seed, *salt)
     if pid.kind == "soo":
         x_opt = rng.uniform(SHIFT_LO, SHIFT_HI, size=pid.dimension)
         f_opt = float(rng.uniform(-100.0, 100.0))
-        return ProblemInstance(id=pid, seed=seed, x_opt=x_opt, f_opt=f_opt)
+        return ProblemInstance(id=pid, seed=int(seed), x_opt=x_opt, f_opt=f_opt)
     if pid.function_code == "bi_sphere":
         a = rng.uniform(SHIFT_LO, SHIFT_HI, size=2)
         b = rng.uniform(SHIFT_LO, SHIFT_HI, size=2)
-        return ProblemInstance(id=pid, seed=seed, x_opt=None, f_opt=None, centers=(a, b))
-    return ProblemInstance(id=pid, seed=seed, x_opt=None, f_opt=None)
+        return ProblemInstance(id=pid, seed=int(seed), x_opt=None, f_opt=None, centers=(a, b))
+    return ProblemInstance(id=pid, seed=int(seed), x_opt=None, f_opt=None)
 
 
 # ---------------------------------------------------------------------------

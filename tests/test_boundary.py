@@ -6,16 +6,21 @@ import numpy as np
 import pytest
 
 from contoursel.errors import ContourselError, ContractError
-from contoursel.neural import Model, ModelSpec, transform_targets
+from contoursel.neural import Dataset, Model, ModelSpec, transform_targets
 from contoursel.perfdata import (
     MooHvRecord,
+    RunRecord,
     build_moo_table,
+    emit_moo_hv,
+    emit_runs,
+    ert_table,
     hypervolume_2d,
     nondominated_2d,
     reference_point,
     relert_matrix,
 )
 from contoursel.prober import (
+    Window,
     build_moo_stacks,
     normalize,
     probe_grid,
@@ -36,8 +41,8 @@ from contoursel.suite import (
 
 SOO = make_instance(ProblemId(kind="soo", function_code="sphere", dimension=2, instance_index=0), 0)
 MOO = make_instance(ProblemId(kind="moo", function_code="zdt1", dimension=2, instance_index=0), 0)
-MODEL = Model(ModelSpec(variant="combined", input_resolution=8, output_count=2, encoder_channels=(2, 3),
-                        head_widths=(4,)), seed=0)
+SPEC = ModelSpec(variant="combined", input_resolution=8, output_count=2, encoder_channels=(2, 3), head_widths=(4,))
+MODEL = Model(SPEC, seed=0)
 STACK = np.zeros((1, 5, 8, 8))
 
 TEXT = "ab"
@@ -109,6 +114,32 @@ CASES = {
     "relert-text-ert": lambda tmp: relert_matrix({("f", 2, "a"): "10"}),
     "moo-table-text-hv": lambda tmp: build_moo_table([MooHvRecord("a", "i", 0, "0.5")], {"i": 1.0}),
     "moo-table-text-best": lambda tmp: build_moo_table([MooHvRecord("a", "i", 0, 0.5)], {"i": "1.0"}),
+    "model-seed-float": lambda tmp: Model(SPEC, 1.5),
+    "model-seed-text": lambda tmp: Model(SPEC, "a"),
+    "model-seed-bool": lambda tmp: Model(SPEC, True),
+    "model-seed-none": lambda tmp: Model(SPEC, None),
+    "moo-record-no-algorithm": lambda tmp: MooHvRecord(None, "i", 0, 0.5),
+    "moo-record-empty-instance": lambda tmp: MooHvRecord("a", "", 0, 0.5),
+    "moo-record-negative-repetition": lambda tmp: MooHvRecord("a", "i", -1, 0.5),
+    "moo-record-float-repetition": lambda tmp: MooHvRecord("a", "i", 0.5, 0.5),
+    "moo-record-nan-hv": lambda tmp: MooHvRecord("a", "i", 0, np.nan),
+    "relert-mixed-algorithms": lambda tmp: relert_matrix({("f", 2, "a"): 1.0, ("f", 2, 1): 2.0}),
+    "relert-mixed-dimensions": lambda tmp: relert_matrix({("f", 2, "a"): 1.0, ("f", "2", "a"): 2.0}),
+    "relert-zero-dimension": lambda tmp: relert_matrix({("f", 0, "a"): 1.0}),
+    "ert-table-none": lambda tmp: ert_table(None),
+    "ert-table-numbers": lambda tmp: ert_table([1, 2]),
+    "moo-table-none": lambda tmp: build_moo_table(None, {}),
+    "moo-table-list-best": lambda tmp: build_moo_table([MooHvRecord("a", "i", 0, 0.5)], ["i"]),
+    "emit-runs-none": lambda tmp: emit_runs(tmp / "runs.csv", None),
+    "emit-runs-numbers": lambda tmp: emit_runs(tmp / "runs.csv", [1]),
+    "emit-moo-hv-numbers": lambda tmp: emit_moo_hv(tmp / "hv.csv", [1]),
+    "probe-grid-moo-window-none": lambda tmp: probe_grid_moo(MOO, 4, window=None),
+    "probe-grid-moo-window-tuple": lambda tmp: probe_grid_moo(MOO, 4, window=((0.0, 0.0), (1.0, 1.0))),
+    "window-negative-side": lambda tmp: Window(lo=(0.0, 0.0), side=(-1.0, -1.0)),
+    "window-zero-side": lambda tmp: Window(lo=(0.0, 0.0), side=(0.0, 0.0)),
+    "window-text-corner": lambda tmp: Window(lo=("0", 0.0), side=(1.0, 1.0)),
+    "dataset-text-targets": lambda tmp: Dataset(stacks=[STACK], dims=[2.0], targets=[["a", "b"]]),
+    "dataset-stacks-none": lambda tmp: Dataset(stacks=None, dims=[2.0], targets=[[0.0, 0.0]]),
 }
 
 
@@ -122,10 +153,33 @@ def test_bad_input_raises_a_toolkit_error(call, tmp_path):
     (lambda: reference_point(5), "fronts"),
     (lambda: reference_point(None), "fronts"),
     (lambda: MODEL.forward_batch(5, [2.0]), "stacks"),
-], ids=["ref-number", "ref-none", "forward-stacks-number"])
+    (lambda: ert_table(None), "records"),
+    (lambda: ert_table([1, 2]), "records"),
+    (lambda: build_moo_table(None, {}), "records"),
+    (lambda: build_moo_table([MooHvRecord("a", "i", 0, 0.5)], ["i"]), "hv_best"),
+    (lambda: emit_runs("unused.csv", None), "records"),
+    (lambda: emit_moo_hv("unused.csv", [1]), "records"),
+    (lambda: Model(SPEC, "a"), "seed"),
+    (lambda: Dataset(stacks=None, dims=[2.0], targets=[[0.0, 0.0]]), "stacks"),
+], ids=["ref-number", "ref-none", "forward-stacks-number", "ert-table-none", "ert-table-numbers", "moo-table-none",
+        "moo-table-list-best", "emit-runs-none", "emit-moo-hv-numbers", "model-seed-text", "dataset-stacks-none"])
 def test_a_non_sequence_argument_is_named(call, name):
     with pytest.raises(ContourselError, match=name):
         call()
+
+
+@pytest.mark.parametrize("emit, record", [
+    (emit_runs, RunRecord("a", "sphere", 2, 0, 100, True)),
+    (emit_moo_hv, MooHvRecord("a", "i", 0, 0.5)),
+], ids=["runs", "moo-hv"])
+@pytest.mark.parametrize("bad", [None, [1], ["a"]], ids=["none", "numbers", "text"])
+def test_a_refused_emit_leaves_the_file_unchanged(emit, record, bad, tmp_path):
+    path = tmp_path / "records.csv"
+    emit(path, [record, record])
+    before = path.read_bytes()
+    with pytest.raises(ContourselError, match="records"):
+        emit(path, bad)
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("call", [

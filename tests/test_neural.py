@@ -524,6 +524,50 @@ class TestTraining:
         assert len(sub) == 2
 
 
+class TestSeeds:
+    @pytest.mark.parametrize("variant", ["combined", "separate"])
+    @pytest.mark.parametrize("seed, numpy_seed", [
+        (3, np.int64(3)), (-1, np.int8(-1)), (2**63 + 5, np.uint64(2**63 + 5)),
+    ])
+    def test_numpy_integer_seed_gives_the_same_parameters(self, variant, seed, numpy_seed):
+        want = [p.value.tobytes() for p in Model(tiny_spec(variant), seed).params()]
+        assert [p.value.tobytes() for p in Model(tiny_spec(variant), numpy_seed).params()] == want
+
+    def test_numpy_integer_seed_gives_the_same_loss_curve(self):
+        ds = tiny_dataset(n=4)
+        curves = [train(Model(tiny_spec(), 0), ds, TrainConfig(epochs=3, seed=s)) for s in (5, np.int64(5))]
+        assert curves[0] == curves[1]
+
+    @pytest.mark.parametrize("seed", [1.5, np.float64(1.0), "3", True, None])
+    def test_non_integer_model_seed_rejected(self, seed):
+        with pytest.raises(ContractError, match="seed"):
+            Model(tiny_spec(), seed)
+
+
+class TestDatasetConversion:
+    def test_lists_train_like_arrays(self):
+        ds = tiny_dataset(n=4)
+        listed = Dataset(stacks=[s.tolist() for s in ds.stacks], dims=ds.dims.tolist(), targets=ds.targets.tolist())
+        cfg = TrainConfig(epochs=2, batch_size=3, seed=1)
+        assert train(Model(tiny_spec(), 0), listed, cfg) == train(Model(tiny_spec(), 0), ds, cfg)
+        assert listed.subset([2, 0]).dims.tolist() == [ds.dims[2], ds.dims[0]]
+
+    def test_float64_arrays_are_not_copied(self):
+        ds = tiny_dataset(n=4)
+        again = Dataset(stacks=tuple(ds.stacks), dims=ds.dims, targets=ds.targets)
+        assert again.stacks[0] is ds.stacks[0] and again.dims is ds.dims and again.targets is ds.targets
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("stacks", None, ContractError), ("stacks", np.zeros((2, 5, 8, 8)), ContractError),
+        ("targets", [["a", "b"], ["c", "d"]], DataError), ("dims", ["2", "x"], DataError),
+        ("stacks", [[[1.0], [2.0, 3.0]]], DataError),
+    ])
+    def test_unconvertible_fields_rejected(self, field, value, error):
+        fields = dict(stacks=[np.zeros((2, 5, 8, 8))], dims=[2.0, 3.0], targets=np.zeros((2, 2))) | {field: value}
+        with pytest.raises(error):
+            Dataset(**fields)
+
+
 class TestTransforms:
     def test_log10_relert(self):
         out = transform_targets("log10_relert", [1.0, 100.0, 1e4])

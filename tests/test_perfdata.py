@@ -252,6 +252,18 @@ class TestRelErt:
         with pytest.raises(DataError, match=named):
             relert_matrix(erts)
 
+    @pytest.mark.parametrize("key", [
+        ("f", 2, 1), (1, 2, "a"), ("f", "2", "a"), ("f", 2.5, "a"), ("f", 0, "a"), ("f", True, "a"), ("", 2, "a"),
+        ("f", 2, ""),
+    ])
+    def test_key_label_types_checked(self, key):
+        with pytest.raises(DataError, match="triple"):
+            relert_matrix({("f", 2, "a"): 1.0, key: 2.0})
+
+    def test_numpy_integer_dimension_accepted(self):
+        table = relert_matrix({("f", np.int64(2), "a"): 1.0, ("f", np.int64(2), "b"): 2.0})
+        assert table.relert.tolist() == [[1.0, 2.0]]
+
 
 class TestSbsVbs:
     def test_sbs_lowest_mean(self):
@@ -488,17 +500,45 @@ class TestMooTable:
         with pytest.raises(DataError, match="i3"):
             table.relhv_row("i3")
 
+    @pytest.mark.parametrize("field, value", [
+        ("algorithm", None), ("algorithm", ""), ("instance", 3), ("instance", ""),
+        ("repetition", -1), ("repetition", 0.5), ("repetition", True), ("repetition", "0"),
+    ])
+    def test_record_label_fields_checked(self, field, value):
+        fields = dict(algorithm="a", instance="i", repetition=0, hv=0.5) | {field: value}
+        with pytest.raises(ContractError, match=field):
+            MooHvRecord(**fields)
+
+    @pytest.mark.parametrize("hv", [np.nan, -np.inf, "0.5", None, True])
+    def test_record_hv_must_be_finite(self, hv):
+        with pytest.raises(DataError, match="finite"):
+            MooHvRecord("a", "i", 0, hv)
+
+    def test_record_takes_numpy_scalars(self):
+        record = MooHvRecord("a", "i", np.int64(2), np.float64(0.5))
+        assert build_moo_table([record], {"i": 1.0}).hv_norm.tolist() == [[0.5]]
+
+    @pytest.mark.parametrize("records, hv_best, match", [
+        (None, {"i": 1.0}, "records"),
+        ([RunRecord("a", "sphere", 2, 0, 10, True)], {"i": 1.0}, "MooHvRecord"),
+        ([MooHvRecord("a", "i", 0, 0.5)], ["i"], "hv_best"),
+        ([MooHvRecord("a", "i", 0, 0.5)], None, "hv_best"),
+    ])
+    def test_containers_checked(self, records, hv_best, match):
+        with pytest.raises(DataError, match=match):
+            build_moo_table(records, hv_best)
+
     @pytest.mark.parametrize("where, value", [
         ("hv", np.nan), ("hv", np.inf), ("best", np.nan), ("best", np.inf), ("hv", "0.5"), ("best", "1.0"),
     ])
     def test_nonfinite_hv_rejected(self, where, value):
         records = self.make_records()
         hv_best = {"i1": 1.0, "i2": 1.0}
-        if where == "hv":
-            records[3] = MooHvRecord(records[3].algorithm, records[3].instance, records[3].repetition, value)
-        else:
-            hv_best["i2"] = value
         with pytest.raises(DataError, match="finite"):
+            if where == "hv":
+                records[3] = MooHvRecord(records[3].algorithm, records[3].instance, records[3].repetition, value)
+            else:
+                hv_best["i2"] = value
             build_moo_table(records, hv_best)
 
 
@@ -635,6 +675,27 @@ class TestCsv:
         path = tmp_path / "hv.csv"
         emit_moo_hv(path, records)
         assert ingest_moo_hv(path) == records
+
+    def test_moo_numpy_hv_written_as_a_number(self, tmp_path):
+        path = tmp_path / "hv.csv"
+        emit_moo_hv(path, [MooHvRecord("a", "zdt1_0", np.int64(3), np.float64(0.1) + np.float64(0.2))])
+        assert path.read_text().splitlines()[1] == "a,zdt1_0,3,0.30000000000000004"
+        assert ingest_moo_hv(path) == [MooHvRecord("a", "zdt1_0", 3, 0.1 + 0.2)]
+
+    @pytest.mark.parametrize("row", [",zdt1_0,0,0.5", "a,,0,0.5", "a,zdt1_0,-1,0.5", "a,zdt1_0,0,x"])
+    def test_moo_bad_field_names_line(self, tmp_path, row):
+        path = tmp_path / "hv.csv"
+        path.write_text(f"algorithm,instance,repetition,hv\na,zdt1_0,0,0.5\n{row}\n")
+        with pytest.raises(ParseError, match=f"{path.name}:3:"):
+            ingest_moo_hv(path)
+
+    @pytest.mark.parametrize("records", [None, 5, [1], [MooHvRecord("a", "i", 0, 0.5)]])
+    def test_runs_container_checked(self, tmp_path, records):
+        with pytest.raises(DataError, match="records"):
+            ert_table(records)
+        with pytest.raises(DataError, match="records"):
+            emit_runs(tmp_path / "runs.csv", records)
+        assert not (tmp_path / "runs.csv").exists()
 
     @pytest.mark.parametrize("hv", ["nan", "inf", "-inf"])
     def test_moo_nonfinite_hv_names_line(self, tmp_path, hv):

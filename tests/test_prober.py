@@ -339,6 +339,27 @@ def test_finishing_steps_byte_equal_to_out_of_place_oracles(raw, levels, r_out):
     assert_same_bits(resize_bilinear(quantized, r_out), resize_bilinear_oracle(quantized, r_out))
 
 
+class TestWindow:
+    @pytest.mark.parametrize("lo, side", [
+        ((0.0, 0.0), (-1.0, -1.0)), ((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 0.0)), (("0", 0.0), (1.0, 1.0)),
+        ((np.nan, 0.0), (1.0, 1.0)), ((0.0, 0.0), (np.inf, 1.0)), ((0.0,), (1.0, 1.0)), ([0.0, 0.0], (1.0, 1.0)),
+        ((0.0, 0.0), None), ((True, 0.0), (1.0, 1.0)),
+    ])
+    def test_bad_corner_or_side_rejected(self, lo, side):
+        with pytest.raises(ContractError, match="window"):
+            Window(lo=lo, side=side)
+
+    @pytest.mark.parametrize("window", [None, ((0.0, 0.0), (1.0, 1.0)), {"lo": [0, 0], "side": [1, 1]}])
+    def test_probe_grid_moo_needs_a_window(self, window):
+        with pytest.raises(ContractError, match="Window"):
+            probe_grid_moo(moo_instance("zdt1"), 4, window=window)
+
+    def test_integer_corner_probes_like_floats(self):
+        a = probe_grid_moo(moo_instance("bi_sphere"), 5, window=Window(lo=(-1, 0), side=(2, 3)))
+        b = probe_grid_moo(moo_instance("bi_sphere"), 5, window=Window(lo=(-1.0, 0.0), side=(2.0, 3.0)))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
 class TestSampleWindow:
     def test_side_from_lambda(self):
         w = sample_window(0.1, np.random.default_rng(0))
@@ -451,6 +472,12 @@ class TestStacks:
     def test_instance_seeds_must_be_five_integers(self, seeds):
         with pytest.raises(ContractError, match="instance_seeds"):
             build_soo_stack("sphere", 2, instance_seeds=seeds, slice_seed=0, r_probe=10, r_out=4)
+
+    @pytest.mark.parametrize("slice_seed, numpy_seed", [(7, np.int64(7)), (-3, np.int32(-3))])
+    def test_numpy_integer_slice_seed_gives_the_same_stack(self, slice_seed, numpy_seed):
+        want, got = (build_soo_stack("ackley", 10, [1, 2, 3, 4, 5], s, r_probe=12, r_out=8)
+                     for s in (slice_seed, numpy_seed))
+        assert got.views.tobytes() == want.views.tobytes() and got.source == want.source
 
     @pytest.mark.parametrize("slice_seed", [0.5, "0", None, True])
     def test_slice_seed_must_be_an_integer(self, slice_seed):

@@ -267,6 +267,15 @@ def test_non_integer_instance_seed_rejected(seed):
         make_instance(moo_id("bi_sphere"), seed)
 
 
+@pytest.mark.parametrize("seed, numpy_seed", [(3, np.int64(3)), (-1, np.int16(-1)), (2**63 + 5, np.uint64(2**63 + 5))])
+@pytest.mark.parametrize("pid", [soo_id("rastrigin", 5), moo_id("bi_sphere")], ids=["soo", "bi_sphere"])
+def test_numpy_integer_instance_seed_gives_the_same_instance(pid, seed, numpy_seed):
+    want, got = make_instance(pid, seed), make_instance(pid, numpy_seed)
+    assert type(got.seed) is int and got.seed == seed
+    for a, b in ((want.x_opt, got.x_opt), (want.f_opt, got.f_opt), *zip(want.centers or (), got.centers or ())):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 def test_batch_matches_scalar():
     inst = make_instance(soo_id("ackley", 5), 3)
     xs = np.random.default_rng(0).uniform(-5, 5, size=(10, 5))
