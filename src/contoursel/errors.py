@@ -2,6 +2,11 @@
 
 Library code raises the most specific class that applies instead of a bare
 ValueError, so callers can tell bad input from bad data and from divergence.
+A violated precondition, such as a wrong shape or a non-integer count, is a
+ContractError; data that is unusable as numbers is a DataError.  The checks
+below raise them: require_integer and seeded_rng a ContractError naming the
+value, float_array a DataError for input numpy cannot convert, finite_array
+also for NaN or inf.  is_integer and is_real only answer True or False.
 """
 
 import math
@@ -74,3 +79,12 @@ def float_array(value, what: str) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{what} must be numbers: {exc}") from exc
+
+
+def finite_array(value, what: str) -> np.ndarray:
+    """float_array(value, what), then DataError naming what unless every
+    value is finite."""
+    arr = float_array(value, what)
+    if not np.isfinite(arr).all():
+        raise DataError(f"{what}: not finite (NaN or inf)")
+    return arr

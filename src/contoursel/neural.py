@@ -28,7 +28,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import (
-    ContractError, DataError, ParseError, TrainingError, float_array, is_integer, is_real, require_integer, seeded_rng,
+    ContractError, DataError, ParseError, TrainingError, finite_array, float_array, is_integer, is_real,
+    require_integer, seeded_rng,
 )
 
 MODEL_FORMAT = "contoursel.model"
@@ -386,11 +387,11 @@ class Model:
         return self.encoder.params + self.head.params
 
     def forward_batch(self, stacks, dims):
-        """Predict (N, output_count) from stacks and the raw problem dimension
-        per sample.
+        """Predict (N, output_count) from stacks and dims, the raw problem
+        dimension of each sample in a 1-D array.
 
         stacks holds stack_count view-first arrays of one shape (N, k, r, r),
-        one per slot; paired stacks must share a shape.  They are copied once
+        one per slot, in a list or tuple.  They are copied once
         into channel-last images, one k-channel image per slot ("combined")
         or one 1-channel image per view ("separate"), and the encoder runs
         once over the whole batch.  Its embeddings reach the head in slot
@@ -398,33 +399,17 @@ class Model:
         one slot of 2k views.
         """
         spec = self.spec
-        try:
-            count = len(stacks)
-        except TypeError:
-            raise ContractError(f"stacks must be a list of stack arrays, got {type(stacks).__name__}") from None
-        if count != spec.stack_count:
-            raise ContractError(f"model expects {spec.stack_count} stack(s), got {count}")
-        dims = float_array(dims, "problem dimensions").reshape(-1, 1)
-        if not np.all(np.isfinite(dims)):
-            raise DataError("problem dimensions must be finite")
-        stacks = [float_array(x, "a stack") for x in stacks]
-        for x in stacks:
-            if x.ndim != 4 or x.shape[1] != spec.view_count:
-                raise ContractError(f"expected stacks of shape (n, {spec.view_count}, r, r), got {x.shape}")
-            if x.shape[0] != len(dims):
-                raise ContractError(
-                    f"stack holds {x.shape[0]} sample(s) but {len(dims)} dimension(s) were given"
-                )
-            if x.shape != stacks[0].shape:
-                raise ContractError(f"paired stacks must share a shape, got {stacks[0].shape} and {x.shape}")
-            if not np.all(np.isfinite(x)):
-                raise DataError("stacks must be finite")
+        stacks, dims = _samples(stacks, dims)
+        if len(stacks) != spec.stack_count:
+            raise ContractError(f"model expects {spec.stack_count} stack(s), got {len(stacks)}")
+        if stacks[0].shape[1] != spec.view_count:
+            raise ContractError(f"expected stacks of shape (n, {spec.view_count}, r, r), got {stacks[0].shape}")
         views = [x[..., None] if spec.variant == "separate" else x.transpose(0, 2, 3, 1) for x in stacks]
         # np.stack makes the one copy; passed as a temporary, it is freed
         # once the first convolution has padded it
         z, enc_cache = self.encoder.forward(np.stack(views, axis=1).reshape(-1, *views[0].shape[-3:]))
         z = z.reshape(len(dims), spec.embedding_width)
-        h, head_caches = self.head.forward(np.concatenate([z, dims * DIMENSION_SCALE], axis=1))
+        h, head_caches = self.head.forward(np.concatenate([z, dims[:, None] * DIMENSION_SCALE], axis=1))
         return h, (enc_cache, head_caches)
 
     def backward_batch(self, gpred, cache):
@@ -483,10 +468,32 @@ def transform_targets(kind: str, values: np.ndarray) -> np.ndarray:
     raise ContractError(f"unknown target transform {kind!r}")
 
 
+def _samples(stacks, dims):
+    """stacks as a list of finite float64 (n, k, r, r) arrays of one shape,
+    and dims as a finite float64 (n,) array of problem dimensions;
+    ContractError for a wrong container, rank, shape or length, DataError
+    for values that are not finite numbers."""
+    if not isinstance(stacks, (list, tuple)):
+        raise ContractError(f"stacks must be a list or tuple of stack arrays, got {type(stacks).__name__}")
+    dims = finite_array(dims, "problem dimensions")
+    if dims.ndim != 1:
+        raise ContractError(f"problem dimensions must be a 1-D array, one per sample, got shape {dims.shape}")
+    stacks = [finite_array(x, "a stack") for x in stacks]
+    for x in stacks:
+        if x.ndim != 4:
+            raise ContractError(f"expected stacks of shape (n, k, r, r), got {x.shape}")
+        if len(x) != len(dims):
+            raise ContractError(f"{len(dims)} dims for a stack of {len(x)} sample(s); give one dimension per sample")
+        if x.shape != stacks[0].shape:
+            raise ContractError(f"paired stacks must share a shape, got {stacks[0].shape} and {x.shape}")
+    return stacks, dims
+
+
 @dataclass
 class Dataset:
     """Training samples: one or two stack arrays, dimensions, target vectors,
-    each held as a float64 array (float64 input is kept, not copied)."""
+    each held as a float64 array (float64 input is kept, not copied).  Stacks
+    and dims are checked as Model.forward_batch checks a batch."""
 
     stacks: list  # stack_count arrays of shape (n, k, r, r)
     dims: np.ndarray  # (n,)
@@ -494,14 +501,10 @@ class Dataset:
     tags: list = field(default_factory=list)  # opaque per-sample identifiers
 
     def __post_init__(self):
-        if not isinstance(self.stacks, (list, tuple)):
-            raise ContractError(f"stacks must be a list or tuple of stack arrays, got {type(self.stacks).__name__}")
-        self.stacks = [float_array(s, "a stack") for s in self.stacks]
-        self.dims = float_array(self.dims, "problem dimensions")
+        self.stacks, self.dims = _samples(self.stacks, self.dims)
         self.targets = float_array(self.targets, "training targets")
-        lengths = [len(s) for s in self.stacks] + [len(self.targets)]
-        if any(m != len(self.dims) for m in lengths):
-            raise ContractError(f"{len(self.dims)} dims but stack and target lengths {lengths}")
+        if self.targets.ndim != 2 or len(self.targets) != len(self.dims):
+            raise ContractError(f"{len(self.dims)} dims but targets of shape {self.targets.shape}, want (n, m)")
         if self.tags and len(self.tags) != len(self.dims):
             raise ContractError(f"{len(self.dims)} dims but {len(self.tags)} tags")
 
@@ -529,8 +532,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig):
     n = len(dataset)
     if n == 0:
         raise ContractError("empty training dataset")
-    if not np.all(np.isfinite(dataset.targets)):
-        raise DataError("training targets must be finite")
+    finite_array(dataset.targets, "training targets")
     rng = seeded_rng("seed", config.seed, 0x7EA1)
     opt = Adam(model.params(), config.learning_rate)
     k = model.spec.view_count
@@ -623,7 +625,5 @@ def load_model(path) -> Model:
             raise ParseError(f"{path}: parameter {name} payload is not base64 float64: {exc}") from exc
         if arr.size != p.value.size:
             raise DataError(f"{path}: parameter {name} has wrong payload size")
-        if not np.all(np.isfinite(arr)):
-            raise DataError(f"{path}: parameter {name} is not finite")
-        p.value[...] = arr.reshape(p.value.shape)
+        p.value[...] = finite_array(arr, f"{path}: parameter {name}").reshape(p.value.shape)
     return model

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError, ParseError, float_array, is_integer, is_real, require_integer
+from .errors import ContractError, DataError, ParseError, finite_array, is_integer, is_real, require_integer
 
 log = logging.getLogger(__name__)
 
@@ -192,8 +192,8 @@ def vbs_mean(table: RelErtTable) -> float:
 
 
 def _points(points, what: str) -> np.ndarray:
-    """points as an (n, 2) float64 array, n = 0 for an empty input; else DataError."""
-    pts = float_array(points, what)
+    """points as a finite (n, 2) float64 array, n = 0 for an empty input; else DataError."""
+    pts = finite_array(points, what)
     if pts.size == 0:
         return pts.reshape(0, 2)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -209,14 +209,7 @@ def nondominated_2d(points) -> np.ndarray:
     f2 lies strictly below every f2 before it (the O(n log n) maxima method
     of Kung, Luccio & Preparata 1975).  A non-finite point raises DataError.
     """
-    pts = _points(points, "nondominated_2d points")
-    if not np.isfinite(pts).all():
-        raise DataError("nondominated_2d needs finite points")
-    return _nondominated(pts)
-
-
-def _nondominated(pts: np.ndarray) -> np.ndarray:
-    """nondominated_2d of points already checked to be finite pairs."""
+    pts = _points(points, "finite points of nondominated_2d")
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     f2 = pts[order, 1]
     best_before = np.minimum.accumulate(np.concatenate(([np.inf], f2[:-1])))
@@ -227,8 +220,8 @@ def _nondominated(pts: np.ndarray) -> np.ndarray:
 
 def _reference(ref) -> np.ndarray:
     """ref as a float64 pair; DataError unless it is exactly two finite numbers."""
-    pair = float_array(ref, "a reference point, two finite numbers,")
-    if pair.shape != (2,) or not np.isfinite(pair).all():
+    pair = finite_array(ref, "the reference point (two finite numbers)")
+    if pair.shape != (2,):
         raise DataError(f"a reference point is two finite numbers, not {ref!r}")
     return pair
 
@@ -241,13 +234,11 @@ def hypervolume_2d(points, ref) -> float:
     A non-finite point or reference raises DataError.
     """
     ref = _reference(ref)
-    pts = _points(points, "hypervolume_2d points")
-    if not np.isfinite(pts).all():
-        raise DataError("hypervolume_2d needs finite points")
+    pts = _points(points, "finite points of hypervolume_2d")
     pts = pts[(pts[:, 0] < ref[0]) & (pts[:, 1] < ref[1])]
     if len(pts) == 0:
         return 0.0
-    front = pts[_nondominated(pts)]
+    front = pts[nondominated_2d(pts)]
     front = front[np.argsort(front[:, 0])]
     areas = np.diff(front[:, 0], append=ref[0]) * (ref[1] - front[:, 1])
     # cumsum adds strictly left to right, unlike the pairwise np.sum, so the
@@ -273,10 +264,7 @@ def reference_point(fronts) -> tuple[float, float]:
     stacked = [pts for pts in (_points(f, "a front") for f in fronts) if len(pts)]
     if not stacked:
         raise DataError("cannot derive a reference point from empty fronts")
-    points = np.concatenate(stacked)
-    if not np.all(np.isfinite(points)):
-        raise DataError("cannot derive a reference point from fronts with NaN or inf values")
-    worst = np.max(points, axis=0)
+    worst = np.max(np.concatenate(stacked), axis=0)
     for k, w in enumerate(worst):
         if w <= 0:
             raise DataError(f"worst objective {k + 1} is {w}; inflating a value <= 0 cannot clear the fronts")
@@ -379,7 +367,7 @@ def _read_csv(path, header, parse_row) -> list:
 def _parse_run(row) -> RunRecord:
     algorithm, function_code, dimension, instance, evaluations, success = row
     if success not in ("0", "1"):
-        raise ValueError(f"success must be 0 or 1, got {success!r}")
+        raise DataError(f"success must be 0 or 1, got {success!r}")
     return RunRecord(
         algorithm=algorithm,
         function_code=function_code,

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError, float_array, is_integer, is_real, require_integer, seeded_rng
+from .errors import (
+    ContractError, DataError, finite_array, float_array, is_integer, is_real, require_integer, seeded_rng,
+)
 from .suite import (
     DOMAIN_HI,
     DOMAIN_LO,
@@ -170,11 +172,9 @@ def resize_bilinear(field, r_out: int) -> np.ndarray:
     """Endpoint-aligned bilinear resample of a square finite field to
     r_out x r_out (corners exact)."""
     require_integer("output resolution", r_out, 2)
-    vals = float_array(field, "a field")
+    vals = finite_array(field, "a field")
     if vals.ndim != 2 or not 0 < vals.shape[0] == vals.shape[1]:
         raise ContractError(f"resize_bilinear expects a square 2-D field, got shape {vals.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise DataError("resize_bilinear expects a field without NaN or inf values")
     r_in = vals.shape[0]
     if r_out == r_in:
         return vals.copy()

@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DataError, InvalidProblemError, float_array, is_integer, require_integer, seeded_rng
+from .errors import (
+    ContractError, DataError, InvalidProblemError, finite_array, float_array, is_integer, require_integer, seeded_rng,
+)
 from .perfdata import nondominated_2d
 
 DOMAIN_LO = -5.0
@@ -20,16 +22,6 @@ DOMAIN_HI = 5.0
 SHIFT_LO = -4.0
 SHIFT_HI = 4.0
 
-SOO_FUNCTIONS = (
-    "sphere",
-    "ellipsoid",
-    "rastrigin",
-    "rosenbrock",
-    "discus",
-    "bent_cigar",
-    "griewank",
-    "ackley",
-)
 MOO_FUNCTIONS = ("zdt1", "zdt2", "zdt3", "bi_sphere")
 
 SOO_DIMENSIONS = (2, 3, 5, 10)
@@ -53,7 +45,6 @@ FUNCTION_GROUPS = {
 }
 
 _KIND_CODE = {"soo": 0, "moo": 1}
-_FUNCTION_CODE = {name: i for i, name in enumerate(SOO_FUNCTIONS + MOO_FUNCTIONS)}
 
 
 @dataclass(frozen=True)
@@ -125,6 +116,8 @@ def make_instance(pid: ProblemId, seed: int) -> ProblemInstance:
     ZDT problems are canonical (no shift); bi_sphere draws its two centers
     from the same seeded stream.
     """
+    if not isinstance(pid, ProblemId):
+        raise ContractError(f"pid must be a ProblemId, got {type(pid).__name__}")
     salt = (_KIND_CODE[pid.kind], _FUNCTION_CODE[pid.function_code], pid.dimension, pid.instance_index)
     rng = seeded_rng("instance seed", seed, *salt)
     if pid.kind == "soo":
@@ -191,26 +184,29 @@ def _ackley(z):
     return -20.0 * np.exp(-0.2 * rms) - np.exp(mean_cos) + 20.0 + np.e
 
 
-_SOO_FORMULAS = {
-    "sphere": _sphere,
-    "ellipsoid": _ellipsoid,
-    "rastrigin": _rastrigin,
-    "rosenbrock": _rosenbrock,
-    "discus": _discus,
-    "bent_cigar": _bent_cigar,
-    "griewank": _griewank,
-    "ackley": _ackley,
-}
+# Each formula is named after its function.  This order is SOO_FUNCTIONS',
+# and a function's index in it salts every instance of that function.
+_SOO_FORMULAS = {f.__name__[1:]: f for f in (
+    _sphere, _ellipsoid, _rastrigin, _rosenbrock, _discus, _bent_cigar, _griewank, _ackley,
+)}
+SOO_FUNCTIONS = tuple(_SOO_FORMULAS)
+_FUNCTION_CODE = {name: i for i, name in enumerate(SOO_FUNCTIONS + MOO_FUNCTIONS)}
 
 
 def _batch_points(xs, d: int) -> np.ndarray:
     """xs as a finite (n, d) float64 array."""
-    xs = float_array(xs, "points")
+    xs = finite_array(xs, "points")
     if xs.ndim != 2 or xs.shape[1] != d:
         raise ContractError(f"expected points of shape (n, {d}), got {xs.shape}")
-    if not np.isfinite(xs).all():
-        raise DataError("points must be finite")
     return xs
+
+
+def _point(x) -> np.ndarray:
+    """x, one point, as a (1, d) float64 batch."""
+    x = float_array(x, "a point")
+    if x.ndim != 1:
+        raise ContractError(f"expected a 1-D point, got shape {x.shape}")
+    return x[None, :]
 
 
 def _blocks(xs):
@@ -236,10 +232,7 @@ def evaluate_soo_batch(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
 
 def evaluate_soo(inst: ProblemInstance, x: np.ndarray) -> float:
     """Evaluate one point; minimum value f_opt is attained at x_opt."""
-    x = float_array(x, "a point")
-    if x.ndim != 1:
-        raise ContractError(f"expected a 1-D point, got shape {x.shape}")
-    return float(evaluate_soo_batch(inst, x[None, :])[0])
+    return float(evaluate_soo_batch(inst, _point(x))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +278,8 @@ def evaluate_moo_batch(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
 
 
 def evaluate_moo(inst: ProblemInstance, x: np.ndarray) -> tuple[float, float]:
-    x = float_array(x, "a point")
-    if x.ndim != 1:
-        raise ContractError(f"expected a 1-D point, got shape {x.shape}")
-    pair = evaluate_moo_batch(inst, x[None, :])[0]
-    return float(pair[0]), float(pair[1])
+    f1, f2 = evaluate_moo_batch(inst, _point(x))[0]
+    return float(f1), float(f2)
 
 
 def pareto_front_points(inst: ProblemInstance, n: int = 2001) -> np.ndarray:

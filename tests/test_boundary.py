@@ -204,3 +204,9 @@ def test_soo_entry_points_need_a_soo_instance(call, inst):
 def test_moo_entry_points_need_a_moo_instance(call, inst):
     with pytest.raises(ContractError, match="moo ProblemInstance"):
         call(inst)
+
+
+@pytest.mark.parametrize("pid", [("soo", "sphere", 2, 0), None, "sphere"], ids=["tuple", "none", "text"])
+def test_make_instance_needs_a_problem_id(pid):
+    with pytest.raises(ContractError, match="pid"):
+        make_instance(pid, 3)

@@ -568,6 +568,40 @@ class TestDatasetConversion:
             Dataset(**fields)
 
 
+# (stacks, dims) pairs that Dataset and Model.forward_batch both refuse; dims
+# must be one value per sample in a 1-D array, never a column or a scalar
+BAD_SAMPLES = {
+    "scalar-dims": ([np.zeros((1, 5, 8, 8))], 2.0, ContractError),
+    "column-dims": ([np.zeros((2, 5, 8, 8))], [[2.0], [3.0]], ContractError),
+    "3d-stack": ([np.zeros((5, 8, 8))], [2.0] * 5, ContractError),
+    "5d-stack": ([np.zeros((1, 1, 5, 8, 8))], [2.0], ContractError),
+    "array-of-stacks": (np.zeros((1, 2, 5, 8, 8)), [2.0, 3.0], ContractError),
+    "short-dims": ([np.zeros((2, 5, 8, 8))], [2.0], ContractError),
+    "nan-stack": ([np.full((1, 5, 8, 8), np.nan)], [2.0], DataError),
+    "inf-dims": ([np.zeros((1, 5, 8, 8))], [np.inf], DataError),
+}
+
+
+class TestSamples:
+    @pytest.mark.parametrize("stacks, dims, error", BAD_SAMPLES.values(), ids=BAD_SAMPLES.keys())
+    def test_dataset_and_forward_batch_refuse_alike(self, stacks, dims, error):
+        with pytest.raises(error) as refused:
+            Dataset(stacks=stacks, dims=dims, targets=np.zeros((np.size(dims), 2)))
+        with pytest.raises(error) as forwarded:
+            Model(tiny_spec(), seed=0).forward_batch(stacks, dims)
+        assert str(refused.value) == str(forwarded.value)
+
+    @pytest.mark.parametrize("targets", [[0.0, 0.0], [[[0.0, 0.0]], [[0.0, 0.0]]], np.zeros((3, 2))],
+                             ids=["1d", "3d", "three-rows"])
+    def test_targets_must_be_one_row_per_sample(self, targets):
+        with pytest.raises(ContractError, match="targets"):
+            Dataset(stacks=[np.zeros((2, 5, 8, 8))], dims=[2.0, 3.0], targets=targets)
+
+    def test_view_count_is_checked_against_the_spec(self):
+        with pytest.raises(ContractError, match=r"\(n, 5, r, r\)"):
+            Model(tiny_spec(), seed=0).forward_batch([np.zeros((1, 4, 8, 8))], [2.0])
+
+
 class TestTransforms:
     def test_log10_relert(self):
         out = transform_targets("log10_relert", [1.0, 100.0, 1e4])

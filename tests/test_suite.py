@@ -127,6 +127,15 @@ def test_make_instance_deterministic():
     assert a.f_opt == b.f_opt
 
 
+def test_function_order_is_fixed():
+    # a function's index in this order salts the stream of each of its
+    # instances, so reordering the list would move every shift and optimum
+    assert SOO_FUNCTIONS + MOO_FUNCTIONS == (
+        "sphere", "ellipsoid", "rastrigin", "rosenbrock", "discus", "bent_cigar", "griewank", "ackley",
+        "zdt1", "zdt2", "zdt3", "bi_sphere",
+    )
+
+
 def test_different_seeds_give_different_shifts():
     a = make_instance(soo_id(), 1)
     b = make_instance(soo_id(), 2)
