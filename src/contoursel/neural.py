@@ -132,35 +132,47 @@ def relu_backward(g, mask):
     return g * mask
 
 
+# The quadrant numbers of a 2x2 window, row-major, shaped to broadcast
+# against (n, oh, 2, ow, 2, c).
+_QUADRANTS = np.arange(4, dtype=np.uint8).reshape(2, 1, 2, 1)
+
+
 def maxpool2x2_forward(x):
-    """2x2 max pooling with stride 2; odd trailing rows/columns are dropped."""
+    """2x2 max pooling with stride 2; odd trailing rows/columns are dropped.
+
+    The cache is the input shape and a uint8 code per output value: the
+    first maximal quadrant of its window (0-3, row-major), so ties route
+    the gradient to one input.  It holds no view of x, so the input is
+    freed once it has been pooled."""
     n, h, w, c = x.shape
     oh, ow = h // 2, w // 2
     if oh < 1 or ow < 1:
         raise ContractError(f"spatial size {h}x{w} too small to pool")
     xc = x[:, : 2 * oh, : 2 * ow, :]
-    quads = (xc[:, 0::2, 0::2], xc[:, 0::2, 1::2], xc[:, 1::2, 0::2], xc[:, 1::2, 1::2])
-    y = np.maximum(np.maximum(quads[0], quads[1]), np.maximum(quads[2], quads[3]))
-    return y, (x.shape, quads, y)
+    q0, q1, q2, q3 = xc[:, 0::2, 0::2], xc[:, 0::2, 1::2], xc[:, 1::2, 0::2], xc[:, 1::2, 1::2]
+    top, bottom = np.maximum(q0, q1), np.maximum(q2, q3)
+    lower = bottom > top  # the first maximum lies in the bottom pair
+    right = q1 > q0  # ... and in the right column of its pair
+    # in the bottom pair compare q3 with q2 instead; this xor select is
+    # several times faster than np.where on bool arrays
+    right ^= lower & (right ^ (q3 > q2))
+    code = right.view(np.uint8)
+    code += lower
+    code += lower  # code = 2 * lower + right
+    return np.maximum(top, bottom, out=top), (x.shape, code)
 
 
 def maxpool2x2_backward(g, cache):
-    xshape, quads, y = cache
+    """Route each g to the quadrant its code names, in one broadcast pass;
+    the other three inputs of the window get g * 0, so a negative g leaves
+    -0.0 there.  Dropped odd rows/columns get +0.0."""
+    xshape, code = cache
     n, h, w, c = xshape
     oh, ow = h // 2, w // 2
-    dx = np.zeros(xshape)
-    slots = (
-        dx[:, 0 : 2 * oh : 2, 0 : 2 * ow : 2],
-        dx[:, 0 : 2 * oh : 2, 1 : 2 * ow : 2],
-        dx[:, 1 : 2 * oh : 2, 0 : 2 * ow : 2],
-        dx[:, 1 : 2 * oh : 2, 1 : 2 * ow : 2],
-    )
-    # ties route to the first maximal quadrant so the subgradient is unique
-    taken = np.zeros(y.shape, dtype=bool)
-    for quad, slot in zip(quads, slots):
-        hit = (quad == y) & ~taken
-        slot[...] = g * hit
-        taken |= hit
+    routed = g[:, :, None, :, None, :] * (code[:, :, None, :, None, :] == _QUADRANTS)
+    dx = routed.reshape(n, 2 * oh, 2 * ow, c)
+    if h % 2 or w % 2:
+        dx = np.pad(dx, ((0, 0), (0, h % 2), (0, w % 2), (0, 0)))
     return dx
 
 
@@ -420,6 +432,10 @@ class Model:
         self.encoder.backward(g[:, :-1].reshape(-1, self.spec.encoder_channels[-1]), enc_cache)
 
     def loss_and_grads(self, stacks, dims, targets):
+        """Mean squared error of one batch; the gradients land in .grad.
+        targets must be finite numbers of the predictions' shape,
+        (n, output_count), or mse_loss raises ContractError."""
+        targets = finite_array(targets, "training targets")
         for p in self.params():
             p.grad[...] = 0.0
         pred, cache = self.forward_batch(stacks, dims)
@@ -512,7 +528,16 @@ class Dataset:
         return len(self.dims)
 
     def subset(self, indices) -> "Dataset":
+        """The samples at indices, a 1-D sequence of integers in [0, len(self)),
+        in that order; ContractError naming the first index that is not."""
         idx = np.asarray(indices)
+        if idx.size == 0:
+            idx = idx.astype(np.intp)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise ContractError(f"subset indices must be a 1-D sequence of integers, got {indices!r}")
+        outside = idx[(idx < 0) | (idx >= len(self))]
+        if outside.size:
+            raise ContractError(f"sample index {outside[0]} is out of range for {len(self)} samples")
         return Dataset(
             stacks=[s[idx] for s in self.stacks],
             dims=self.dims[idx],

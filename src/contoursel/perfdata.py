@@ -90,7 +90,7 @@ def ert(records) -> float | None:
     Sum of evaluations divided by the number of successes; None when no run
     succeeded.
     """
-    records = list(records)
+    records = _records(records, RunRecord, "records")
     if not records:
         raise ContractError("ert needs at least one run record")
     total = sum(r.evaluations_used for r in records)
@@ -201,20 +201,29 @@ def _points(points, what: str) -> np.ndarray:
     return pts
 
 
-def nondominated_2d(points) -> np.ndarray:
-    """Mask, in input order, of the points of a 2-D minimization set that no
-    other point dominates; of exact duplicates only the first is kept.
+def _sorted_front(pts: np.ndarray):
+    """(order, kept) for a finite (n, 2) array: the stable (f1, f2) sort
+    order of its points, and a mask, in that order, of the nondominated ones.
 
-    After a stable sort by (f1, f2), a point is nondominated exactly when its
-    f2 lies strictly below every f2 before it (the O(n log n) maxima method
-    of Kung, Luccio & Preparata 1975).  A non-finite point raises DataError.
+    After the sort, a point is nondominated exactly when its f2 lies
+    strictly below every f2 before it (the O(n log n) maxima method of
+    Kung, Luccio & Preparata 1975), so of exact duplicates only the first
+    is kept and the kept points have strictly increasing f1.
     """
-    pts = _points(points, "finite points of nondominated_2d")
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     f2 = pts[order, 1]
     best_before = np.minimum.accumulate(np.concatenate(([np.inf], f2[:-1])))
+    return order, f2 < best_before
+
+
+def nondominated_2d(points) -> np.ndarray:
+    """Mask, in input order, of the points of a 2-D minimization set that no
+    other point dominates; of exact duplicates only the first is kept.  A
+    non-finite point raises DataError."""
+    pts = _points(points, "finite points of nondominated_2d")
+    order, kept = _sorted_front(pts)
     keep = np.zeros(len(pts), dtype=bool)
-    keep[order] = f2 < best_before
+    keep[order] = kept
     return keep
 
 
@@ -238,8 +247,8 @@ def hypervolume_2d(points, ref) -> float:
     pts = pts[(pts[:, 0] < ref[0]) & (pts[:, 1] < ref[1])]
     if len(pts) == 0:
         return 0.0
-    front = pts[nondominated_2d(pts)]
-    front = front[np.argsort(front[:, 0])]
+    order, kept = _sorted_front(pts)
+    front = pts[order[kept]]
     areas = np.diff(front[:, 0], append=ref[0]) * (ref[1] - front[:, 1])
     # cumsum adds strictly left to right, unlike the pairwise np.sum, so the
     # value does not depend on how numpy blocks the reduction

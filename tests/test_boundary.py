@@ -13,6 +13,7 @@ from contoursel.perfdata import (
     build_moo_table,
     emit_moo_hv,
     emit_runs,
+    ert,
     ert_table,
     hypervolume_2d,
     nondominated_2d,
@@ -44,6 +45,7 @@ MOO = make_instance(ProblemId(kind="moo", function_code="zdt1", dimension=2, ins
 SPEC = ModelSpec(variant="combined", input_resolution=8, output_count=2, encoder_channels=(2, 3), head_widths=(4,))
 MODEL = Model(SPEC, seed=0)
 STACK = np.zeros((1, 5, 8, 8))
+TWO = Dataset(stacks=[np.zeros((2, 5, 8, 8))], dims=[2.0, 3.0], targets=[[0.0, 0.0], [1.0, 1.0]])
 
 TEXT = "ab"
 RAGGED = [[0.1, 0.2], [0.3]]
@@ -140,6 +142,18 @@ CASES = {
     "window-text-corner": lambda tmp: Window(lo=("0", 0.0), side=(1.0, 1.0)),
     "dataset-text-targets": lambda tmp: Dataset(stacks=[STACK], dims=[2.0], targets=[["a", "b"]]),
     "dataset-stacks-none": lambda tmp: Dataset(stacks=None, dims=[2.0], targets=[[0.0, 0.0]]),
+    "ert-none": lambda tmp: ert(None),
+    "ert-numbers": lambda tmp: ert([1, 2]),
+    "subset-out-of-range": lambda tmp: TWO.subset([5]),
+    "subset-negative": lambda tmp: TWO.subset([-1]),
+    "subset-text": lambda tmp: TWO.subset("a"),
+    "subset-floats": lambda tmp: TWO.subset([0.5]),
+    "subset-bools": lambda tmp: TWO.subset([True, False]),
+    "subset-nested": lambda tmp: TWO.subset([[0]]),
+    "loss-targets-text": lambda tmp: MODEL.loss_and_grads([STACK], [2.0], TEXT),
+    "loss-targets-flat": lambda tmp: MODEL.loss_and_grads([STACK], [2.0], [0.0, 0.0]),
+    "loss-targets-wide": lambda tmp: MODEL.loss_and_grads([STACK], [2.0], [[0.0, 0.0, 0.0]]),
+    "loss-targets-nan": lambda tmp: MODEL.loss_and_grads([STACK], [2.0], [[np.nan, 0.0]]),
 }
 
 
@@ -161,11 +175,28 @@ def test_bad_input_raises_a_toolkit_error(call, tmp_path):
     (lambda: emit_moo_hv("unused.csv", [1]), "records"),
     (lambda: Model(SPEC, "a"), "seed"),
     (lambda: Dataset(stacks=None, dims=[2.0], targets=[[0.0, 0.0]]), "stacks"),
+    (lambda: ert(None), "records"),
+    (lambda: ert([1, 2]), "records"),
 ], ids=["ref-number", "ref-none", "forward-stacks-number", "ert-table-none", "ert-table-numbers", "moo-table-none",
-        "moo-table-list-best", "emit-runs-none", "emit-moo-hv-numbers", "model-seed-text", "dataset-stacks-none"])
+        "moo-table-list-best", "emit-runs-none", "emit-moo-hv-numbers", "model-seed-text", "dataset-stacks-none",
+        "ert-none", "ert-numbers"])
 def test_a_non_sequence_argument_is_named(call, name):
     with pytest.raises(ContourselError, match=name):
         call()
+
+
+@pytest.mark.parametrize("indices, index", [([5], "5"), ([1, -1], "-1"), ([0, 2, 3], "2")],
+                         ids=["past-the-end", "negative", "first-of-two"])
+def test_subset_names_the_index_out_of_range(indices, index):
+    with pytest.raises(ContractError, match=f"sample index {index} is out of range for 2 samples"):
+        TWO.subset(indices)
+
+
+def test_loss_and_grads_takes_list_targets_like_arrays():
+    listed = MODEL.loss_and_grads([STACK], [2.0], [[0.5, -0.5]])
+    grads = [p.grad.copy() for p in MODEL.params()]
+    assert MODEL.loss_and_grads([STACK], np.array([2.0]), np.array([[0.5, -0.5]])) == listed
+    assert all(np.array_equal(g, p.grad) for g, p in zip(grads, MODEL.params()))
 
 
 @pytest.mark.parametrize("emit, record", [

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from contoursel.neural import (
     global_avg_pool_backward,
     global_avg_pool_forward,
     load_model,
+    maxpool2x2_backward,
     maxpool2x2_forward,
     mse_loss,
     relu_forward,
@@ -156,6 +158,109 @@ class TestConv:
         assert no_dx[0] is None
         np.testing.assert_array_equal(no_dx[1], dw)
         np.testing.assert_array_equal(no_dx[2], db)
+
+
+def maxpool2x2_forward_oracle(x):
+    """Reference 2x2 max pool whose cache keeps the four quadrant views of x
+    and the output."""
+    n, h, w, c = x.shape
+    oh, ow = h // 2, w // 2
+    xc = x[:, : 2 * oh, : 2 * ow, :]
+    quads = (xc[:, 0::2, 0::2], xc[:, 0::2, 1::2], xc[:, 1::2, 0::2], xc[:, 1::2, 1::2])
+    y = np.maximum(np.maximum(quads[0], quads[1]), np.maximum(quads[2], quads[3]))
+    return y, (x.shape, quads, y)
+
+
+def maxpool2x2_backward_oracle(g, cache):
+    """Four compare-and-scatter passes into zeros; a tie goes to the first
+    quadrant equal to the output."""
+    xshape, quads, y = cache
+    n, h, w, c = xshape
+    oh, ow = h // 2, w // 2
+    dx = np.zeros(xshape)
+    slots = (
+        dx[:, 0 : 2 * oh : 2, 0 : 2 * ow : 2],
+        dx[:, 0 : 2 * oh : 2, 1 : 2 * ow : 2],
+        dx[:, 1 : 2 * oh : 2, 0 : 2 * ow : 2],
+        dx[:, 1 : 2 * oh : 2, 1 : 2 * ow : 2],
+    )
+    taken = np.zeros(y.shape, dtype=bool)
+    for quad, slot in zip(quads, slots):
+        hit = (quad == y) & ~taken
+        slot[...] = g * hit
+        taken |= hit
+    return dx
+
+
+def signed_levels(rng, shape, levels):
+    """Values on a few quantization levels, so windows tie often, with the
+    sign of every zero drawn at random."""
+    x = rng.integers(-levels, levels + 1, shape) / levels
+    return np.where(x == 0.0, rng.choice([0.0, -0.0], shape), x)
+
+
+class TestMaxPoolAgainstOracle:
+    @given(n=st.integers(1, 3), h=st.integers(2, 9), w=st.integers(2, 9), c=st.sampled_from([1, 5, 16, 64]),
+           levels=st.sampled_from([1, 2, 15, 0]), seed=st.integers(0, 2**32 - 1))
+    def test_output_and_gradient_are_the_oracle_bits(self, n, h, w, c, levels, seed):
+        """Quantized inputs (many ties), +-0.0 in x and g, odd H or W, where
+        the dropped rows and columns leave dx's pooled part non-contiguous;
+        levels 0 draws plain normal floats instead."""
+        rng = np.random.default_rng(seed)
+        x = signed_levels(rng, (n, h, w, c), levels) if levels else rng.standard_normal((n, h, w, c))
+        want_y, want_cache = maxpool2x2_forward_oracle(x)
+        y, cache = maxpool2x2_forward(x)
+        assert y.dtype == want_y.dtype and y.shape == want_y.shape and y.tobytes() == want_y.tobytes()
+        g = signed_levels(rng, y.shape, 2)
+        want_dx = maxpool2x2_backward_oracle(g, want_cache)
+        dx = maxpool2x2_backward(g, cache)
+        assert dx.dtype == want_dx.dtype and dx.shape == x.shape and dx.tobytes() == want_dx.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 8, 8, 16), (1, 7, 9, 5), (3, 2, 2, 1)])
+    def test_cache_is_the_shape_and_a_code_that_share_no_memory_with_the_input(self, shape):
+        x = np.random.default_rng(0).standard_normal(shape)
+        y, cache = maxpool2x2_forward(x)
+        assert cache[0] == x.shape
+        assert all(not np.shares_memory(part, x) for part in cache[1:])
+        assert not np.shares_memory(y, x)
+        assert cache[1].dtype == np.uint8 and cache[1].shape == y.shape and cache[1].max() <= 3
+
+    @pytest.mark.parametrize("variant", ["combined", "separate"])
+    @pytest.mark.parametrize("resolution", [11, 16])
+    def test_training_ends_with_the_oracle_pools_parameters(self, monkeypatch, variant, resolution):
+        """Two epochs on quantized stacks (flat regions tie in every pool);
+        at 11 px both pools see odd sizes."""
+        rng = np.random.default_rng(resolution)
+        ds = Dataset(stacks=[np.round(rng.random((5, 5, resolution, resolution)) * 3) / 3],
+                     dims=rng.integers(2, 11, size=5).astype(float), targets=rng.normal(size=(5, 2)))
+        spec = ModelSpec(variant=variant, input_resolution=resolution, output_count=2, encoder_channels=(4, 6),
+                         head_widths=(8,))
+        config = TrainConfig(epochs=2, batch_size=2, seed=3)
+        fitted = Model(spec, seed=1)
+        losses = train(fitted, ds, config)
+        # a Layer binds its primitives when the model is built
+        monkeypatch.setattr(neural, "maxpool2x2_forward", maxpool2x2_forward_oracle)
+        monkeypatch.setattr(neural, "maxpool2x2_backward", maxpool2x2_backward_oracle)
+        oracle = Model(spec, seed=1)
+        assert train(oracle, ds, config) == losses
+        for p, q in zip(fitted.params(), oracle.params()):
+            assert p.value.tobytes() == q.value.tobytes(), p.name
+
+    def test_separate_step_peak_memory(self):
+        """One default-spec `separate` loss_and_grads step, batch 8, 64 px,
+        traced from its first allocation, peaks at 45.5 MiB; a pool cache
+        that pins its conv output takes it to 88.2 MiB."""
+        model = Model(ModelSpec(variant="separate", input_resolution=64, output_count=3), seed=0)
+        rng = np.random.default_rng(0)
+        stacks, dims, targets = [rng.random((8, 5, 64, 64))], np.full(8, 2.0), rng.random((8, 3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model.loss_and_grads(stacks, dims, targets)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 46 * 2**20
 
 
 class TestSmallLayers:
@@ -522,6 +627,9 @@ class TestTraining:
         sub = ds.subset([2, 0])
         assert sub.tags == ["s2", "s0"]
         assert len(sub) == 2
+
+    def test_dataset_subset_of_no_indices_is_empty(self):
+        assert len(tiny_dataset(n=4).subset([])) == 0
 
 
 class TestSeeds:

@@ -140,6 +140,11 @@ class TestErt:
         with pytest.raises(ContractError):
             ert([])
 
+    @pytest.mark.parametrize("records", [[1, 2], None, 5, [rec("a"), "b"]], ids=["numbers", "none", "int", "mixed"])
+    def test_records_not_run_records_rejected(self, records):
+        with pytest.raises(DataError, match="records must be an iterable of RunRecord"):
+            ert(records)
+
     @pytest.mark.parametrize("field, value", [
         ("algorithm", ""), ("algorithm", 3), ("function_code", ""), ("function_code", None),
         ("dimension", 0), ("dimension", 2.0), ("instance_index", -1), ("instance_index", True),
@@ -349,6 +354,23 @@ class TestHypervolume:
         reference edges."""
         estimate, bound = grid_count_hv(points, ref, cells_per_axis=256)
         assert abs(hypervolume_2d(points, ref) - estimate) <= bound + 1e-12
+
+    @given(st.lists(st.tuples(_coordinate, _coordinate), max_size=30),
+           st.tuples(_coordinate, _coordinate).map(lambda r: (r[0] + 0.5, r[1] + 0.5)))
+    def test_matches_mask_then_argsort_formula_bit_for_bit(self, points, ref):
+        """The formula that sorted the front a second time: the O(n^2)
+        oracle's mask, then the kept points in ascending f1.  The oracle
+        keeps every copy of a duplicate; a copy adds a zero-width strip, and
+        x + 0.0 is x, so the sums agree to the bit."""
+        pts = np.asarray(points, float).reshape(-1, 2)
+        pts = pts[(pts[:, 0] < ref[0]) & (pts[:, 1] < ref[1])]
+        want = 0.0
+        if len(pts):
+            front = pts[nondominated_mask_oracle(pts)]
+            front = front[np.argsort(front[:, 0], kind="stable")]
+            areas = np.diff(front[:, 0], append=ref[0]) * (ref[1] - front[:, 1])
+            want = float(np.cumsum(areas)[-1])
+        assert same_bits(hypervolume_2d(points, ref), want)
 
     @pytest.mark.parametrize("points, ref, message", [
         ([(0.5, 0.5)], (np.nan, 1.0), "reference point"),
