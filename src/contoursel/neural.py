@@ -5,10 +5,12 @@ shape (views, r, r); inside the spatial layers a channel-last layout is
 used.  The fixed 3x3 / stride 1 / zero pad 1 convolution lowers each chunk
 of samples to a patch matrix (im2col: one row of 9*C taps per output
 pixel) and multiplies it by the (9*C, O) kernel matrix, so the work is a
-few large matrix products.  The chunks keep each patch matrix within
-PATCH_MATRIX_BYTES, so lowering never holds a nine-fold copy of a whole
-batch.  That keeps full-precision CPU training fast enough for the
-experiment harness without any framework dependency.
+few large matrix products.  Every chunk is copied into one buffer of at
+most PATCH_MATRIX_BYTES, sized to stay in the L2 cache between the copy
+and the product that reads it, so lowering never holds a nine-fold copy
+of a whole batch.  A prediction pass keeps no backward cache.  That keeps
+full-precision CPU training fast enough for the experiment harness
+without any framework dependency.
 
 Two model variants exist: "combined" consumes the views of a stack as the
 input channels of one image, "separate" turns each view into a 1-channel
@@ -38,7 +40,8 @@ DIMENSION_SCALE = 0.1  # dimension feature is fed to the head as d/10
 
 
 # ---------------------------------------------------------------------------
-# Layer primitives (functional: forward returns a cache consumed by backward).
+# Layer primitives (functional: forward returns a cache consumed by backward;
+# need_cache=False returns it as None for a pass that runs no backward).
 #
 # Spatial tensors use channel-last (N, H, W, C) layout internally: a patch
 # matrix row is then nine runs of C contiguous values, and every reshape
@@ -46,10 +49,14 @@ DIMENSION_SCALE = 0.1  # dimension feature is fed to the head as d/10
 # conventional (C_out, C_in, 3, 3) shape at the API surface.
 
 
-# Each chunk of samples gets its own patch matrix of at most this many bytes.
-# Lowering a whole batch at once would hold a nine-fold copy of a layer's
-# input next to the activations, and raise the peak memory of training.
-PATCH_MATRIX_BYTES = 8 * 2**20
+# Each chunk of samples is lowered into one patch buffer of at most this many
+# bytes, reused for every chunk of a call.  A buffer that fits in the L2 cache
+# (2 MiB per core on the Xeon of the ROADMAP baseline) stays there between
+# the copy that fills it and the matrix product that reads it; an 8 MiB one
+# is read back from memory, and lowering then costs as much as the product.
+# Of 0.5, 1, 2 and 8 MiB, 0.5 and 1 MiB were fastest there.  A chunk is
+# never smaller than one sample.
+PATCH_MATRIX_BYTES = 2**20
 
 
 def _pad(x: np.ndarray) -> np.ndarray:
@@ -63,18 +70,21 @@ def _kernel_matrix(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(9 * c, o)
 
 
-def _chunks(xp: np.ndarray):
-    """Sample slices of a padded input whose patch matrices stay within
-    PATCH_MATRIX_BYTES."""
+def _patch_chunks(xp: np.ndarray):
+    """Yield (samples, patches) for consecutive sample slices of the padded
+    input (n, H+2, W+2, C): patches is their (m*H*W, 9*C) patch matrix, one
+    row per output pixel.  Every chunk is copied from one window view of xp
+    into the same buffer of at most PATCH_MATRIX_BYTES, so a chunk's
+    patches are valid only until the next one is yielded."""
     n, hp, wp, c = xp.shape
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
     step = max(1, PATCH_MATRIX_BYTES // ((hp - 2) * (wp - 2) * 9 * c * xp.itemsize))
-    return [slice(s, s + step) for s in range(0, n, step)]
-
-
-def _patch_matrix(xp: np.ndarray) -> np.ndarray:
-    """Padded (n, H+2, W+2, C) -> (n*H*W, 9*C): one row per output pixel."""
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, 9 * xp.shape[3])
+    buffer = np.empty((min(step, n), *windows.shape[1:]), dtype=xp.dtype)
+    for start in range(0, n, step):
+        samples = slice(start, min(start + step, n))
+        patches = buffer[: samples.stop - start]
+        np.copyto(patches, windows[samples])
+        yield samples, patches.reshape(-1, 9 * c)
 
 
 def _correlate(xp: np.ndarray, wmat: np.ndarray) -> np.ndarray:
@@ -82,24 +92,26 @@ def _correlate(xp: np.ndarray, wmat: np.ndarray) -> np.ndarray:
     n, hp, wp, _ = xp.shape
     o = wmat.shape[1]
     y = np.empty((n, hp - 2, wp - 2, o))
-    for chunk in _chunks(xp):
-        np.matmul(_patch_matrix(xp[chunk]), wmat, out=y[chunk].reshape(-1, o))
+    for samples, patches in _patch_chunks(xp):
+        np.matmul(patches, wmat, out=y[samples].reshape(-1, o))
     return y
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, *, need_cache: bool = True):
     """3x3 / stride 1 / zero-pad 1 convolution; x (N,H,W,C), w (O,C,3,3).
 
     The input is padded once; each chunk of samples is lowered to its patch
     matrix (im2col) and multiplied by the (9*C, O) kernel matrix straight
-    into the output.  The cache keeps the padded input, not the patches.
+    into the output.  The cache keeps the padded input, not the patches;
+    need_cache=False returns it as None, so the padded input is freed on
+    return.
     """
     if x.shape[3] != w.shape[1]:
         raise ContractError(f"channel mismatch: input {x.shape[3]}, weights {w.shape[1]}")
     xp = _pad(x)
     y = _correlate(xp, _kernel_matrix(w))
     y += b
-    return y, (xp, x.shape, w)
+    return y, (xp, x.shape, w) if need_cache else None
 
 
 def conv2d_backward(g: np.ndarray, cache, *, need_dx: bool = True):
@@ -114,18 +126,21 @@ def conv2d_backward(g: np.ndarray, cache, *, need_dx: bool = True):
     """
     xp, xshape, w = cache
     o = w.shape[0]
-    dwmat = np.zeros((o, 9 * xshape[3]))
-    for chunk in _chunks(xp):
-        dwmat += g[chunk].reshape(-1, o).T @ _patch_matrix(xp[chunk])
+    # a generator expression, so no loop variable keeps the patch buffer
+    # alive while dx lowers g into its own
+    dwmat = sum((g[samples].reshape(-1, o).T @ patches for samples, patches in _patch_chunks(xp)),
+                np.zeros((o, 9 * xshape[3])))
     dw = dwmat.reshape(o, 3, 3, xshape[3]).transpose(0, 3, 1, 2)
     db = g.reshape(-1, o).sum(axis=0)
     dx = _correlate(_pad(g), _kernel_matrix(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))) if need_dx else None
     return dx, dw, db
 
 
-def relu_forward(x):
+def relu_forward(x, *, need_cache: bool = True):
+    """max(x, 0) as x * (x > 0), so a negative input gives -0.0; the cache
+    is the mask, or None with need_cache=False."""
     mask = x > 0
-    return x * mask, mask
+    return x * mask, mask if need_cache else None
 
 
 def relu_backward(g, mask):
@@ -133,17 +148,19 @@ def relu_backward(g, mask):
 
 
 # The quadrant numbers of a 2x2 window, row-major, shaped to broadcast
-# against (n, oh, 2, ow, 2, c).
+# against (n, oh, 2, ow, 2, c); read-only, as it is shared by every call.
 _QUADRANTS = np.arange(4, dtype=np.uint8).reshape(2, 1, 2, 1)
+_QUADRANTS.flags.writeable = False
 
 
-def maxpool2x2_forward(x):
+def maxpool2x2_forward(x, *, need_cache: bool = True):
     """2x2 max pooling with stride 2; odd trailing rows/columns are dropped.
 
     The cache is the input shape and a uint8 code per output value: the
     first maximal quadrant of its window (0-3, row-major), so ties route
     the gradient to one input.  It holds no view of x, so the input is
-    freed once it has been pooled."""
+    freed once it has been pooled.  need_cache=False computes no code and
+    returns the cache as None."""
     n, h, w, c = x.shape
     oh, ow = h // 2, w // 2
     if oh < 1 or ow < 1:
@@ -151,6 +168,8 @@ def maxpool2x2_forward(x):
     xc = x[:, : 2 * oh, : 2 * ow, :]
     q0, q1, q2, q3 = xc[:, 0::2, 0::2], xc[:, 0::2, 1::2], xc[:, 1::2, 0::2], xc[:, 1::2, 1::2]
     top, bottom = np.maximum(q0, q1), np.maximum(q2, q3)
+    if not need_cache:
+        return np.maximum(top, bottom, out=top), None
     lower = bottom > top  # the first maximum lies in the bottom pair
     right = q1 > q0  # ... and in the right column of its pair
     # in the bottom pair compare q3 with q2 instead; this xor select is
@@ -176,9 +195,8 @@ def maxpool2x2_backward(g, cache):
     return dx
 
 
-def global_avg_pool_forward(x):
-    n, h, w, c = x.shape
-    return x.mean(axis=(1, 2)), (x.shape,)
+def global_avg_pool_forward(x, *, need_cache: bool = True):
+    return x.mean(axis=(1, 2)), (x.shape,) if need_cache else None
 
 
 def global_avg_pool_backward(g, cache):
@@ -187,11 +205,11 @@ def global_avg_pool_backward(g, cache):
     return np.broadcast_to(g[:, None, None, :], xshape) / (h * w)
 
 
-def dense_forward(x, w, b):
+def dense_forward(x, w, b, *, need_cache: bool = True):
     """y = x W^T + b with w of shape (out, in)."""
     if x.shape[1] != w.shape[1]:
         raise ContractError(f"dense input width {x.shape[1]} != weight width {w.shape[1]}")
-    return x @ w.T + b, (x, w)
+    return x @ w.T + b, (x, w) if need_cache else None
 
 
 def dense_backward(g, cache):
@@ -203,6 +221,8 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
     """Mean squared error and its gradient w.r.t. pred."""
     if pred.shape != target.shape:
         raise ContractError(f"prediction shape {pred.shape} != target shape {target.shape}")
+    if pred.size == 0:
+        raise ContractError("no predictions to score: the mean squared error of an empty batch is undefined")
     diff = pred - target
     loss = float(np.mean(diff * diff))
     grad = 2.0 * diff / diff.size
@@ -226,16 +246,17 @@ class Param:
 
 
 class Layer:
-    """forward(x, *param values) -> (y, cache); backward(g, cache) -> dx,
-    or (dx, *param grads) when the layer owns params."""
+    """forward(x, *param values, need_cache=...) -> (y, cache);
+    backward(g, cache) -> dx, or (dx, *param grads) when the layer owns
+    params."""
 
     def __init__(self, forward, backward, params=()):
         self._forward = forward
         self._backward = backward
         self.params = list(params)
 
-    def forward(self, x):
-        return self._forward(x, *(p.value for p in self.params))
+    def forward(self, x, *, need_cache: bool = True):
+        return self._forward(x, *(p.value for p in self.params), need_cache=need_cache)
 
     def backward(self, g, cache):
         """Add the weight gradients into the params; return dx."""
@@ -254,10 +275,12 @@ class Sequential:
         self.layers = list(layers)
         self.params = [p for layer in self.layers for p in layer.params]
 
-    def forward(self, x):
+    def forward(self, x, *, need_cache: bool = True):
+        """(y, caches); need_cache=False keeps no cache, so each layer's
+        input is freed as soon as that layer returns."""
         caches = []
         for layer in self.layers:
-            x, cache = layer.forward(x)
+            x, cache = layer.forward(x, need_cache=need_cache)
             caches.append(cache)
         return x, caches
 
@@ -400,7 +423,7 @@ class Model:
 
     def forward_batch(self, stacks, dims):
         """Predict (N, output_count) from stacks and dims, the raw problem
-        dimension of each sample in a 1-D array.
+        dimension of each sample in a 1-D array; returns (predictions, None).
 
         stacks holds stack_count view-first arrays of one shape (N, k, r, r),
         one per slot, in a list or tuple.  They are copied once
@@ -408,8 +431,13 @@ class Model:
         or one 1-channel image per view ("separate"), and the encoder runs
         once over the whole batch.  Its embeddings reach the head in slot
         order and then view order, so two slots of k views embed exactly as
-        one slot of 2k views.
+        one slot of 2k views.  No layer keeps a backward cache.
         """
+        return self._forward(stacks, dims, need_cache=False)
+
+    def _forward(self, stacks, dims, *, need_cache: bool):
+        """forward_batch's predictions and, with need_cache, the caches
+        backward_batch consumes; (predictions, None) without."""
         spec = self.spec
         stacks, dims = _samples(stacks, dims)
         if len(stacks) != spec.stack_count:
@@ -419,10 +447,12 @@ class Model:
         views = [x[..., None] if spec.variant == "separate" else x.transpose(0, 2, 3, 1) for x in stacks]
         # np.stack makes the one copy; passed as a temporary, it is freed
         # once the first convolution has padded it
-        z, enc_cache = self.encoder.forward(np.stack(views, axis=1).reshape(-1, *views[0].shape[-3:]))
+        z, enc_cache = self.encoder.forward(np.stack(views, axis=1).reshape(-1, *views[0].shape[-3:]),
+                                            need_cache=need_cache)
         z = z.reshape(len(dims), spec.embedding_width)
-        h, head_caches = self.head.forward(np.concatenate([z, dims[:, None] * DIMENSION_SCALE], axis=1))
-        return h, (enc_cache, head_caches)
+        h, head_caches = self.head.forward(np.concatenate([z, dims[:, None] * DIMENSION_SCALE], axis=1),
+                                           need_cache=need_cache)
+        return h, (enc_cache, head_caches) if need_cache else None
 
     def backward_batch(self, gpred, cache):
         """Accumulate parameter gradients; augments .grad on every Param."""
@@ -438,7 +468,7 @@ class Model:
         targets = finite_array(targets, "training targets")
         for p in self.params():
             p.grad[...] = 0.0
-        pred, cache = self.forward_batch(stacks, dims)
+        pred, cache = self._forward(stacks, dims, need_cache=True)
         loss, gpred = mse_loss(pred, targets)
         self.backward_batch(gpred, cache)
         return loss
@@ -496,7 +526,7 @@ def _samples(stacks, dims):
         raise ContractError(f"problem dimensions must be a 1-D array, one per sample, got shape {dims.shape}")
     stacks = [finite_array(x, "a stack") for x in stacks]
     for x in stacks:
-        if x.ndim != 4:
+        if x.ndim != 4 or x.shape[2] != x.shape[3]:
             raise ContractError(f"expected stacks of shape (n, k, r, r), got {x.shape}")
         if len(x) != len(dims):
             raise ContractError(f"{len(dims)} dims for a stack of {len(x)} sample(s); give one dimension per sample")

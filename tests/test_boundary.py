@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from contoursel.errors import ContourselError, ContractError
-from contoursel.neural import Dataset, Model, ModelSpec, transform_targets
+from contoursel.neural import Dataset, Model, ModelSpec, mse_loss, transform_targets
 from contoursel.perfdata import (
     MooHvRecord,
     RunRecord,
@@ -154,6 +154,8 @@ CASES = {
     "loss-targets-flat": lambda tmp: MODEL.loss_and_grads([STACK], [2.0], [0.0, 0.0]),
     "loss-targets-wide": lambda tmp: MODEL.loss_and_grads([STACK], [2.0], [[0.0, 0.0, 0.0]]),
     "loss-targets-nan": lambda tmp: MODEL.loss_and_grads([STACK], [2.0], [[np.nan, 0.0]]),
+    "mse-empty": lambda tmp: mse_loss(np.zeros((0, 2)), np.zeros((0, 2))),
+    "loss-empty-batch": lambda tmp: MODEL.loss_and_grads([STACK[:0]], [], np.zeros((0, 2))),
 }
 
 

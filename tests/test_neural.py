@@ -127,21 +127,23 @@ class TestConv:
 
     @given(
         n=st.integers(1, 7), h=st.integers(1, 6), wd=st.integers(1, 6), c=st.integers(1, 5),
-        o=st.integers(1, 4), per_chunk=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+        o=st.integers(1, 4), per_chunk=st.sampled_from([0.5, 1, 2, 3]), seed=st.integers(0, 2**32 - 1),
     )
     def test_chunked_patch_matrix_against_oracles(self, n, h, wd, c, o, per_chunk, seed):
         """Forward against the loop reference; dx by the adjoint identity
-        <conv(x), g> = <x, dx>; dw by central differences; with chunks of
-        per_chunk samples, so most batches span several chunks and a
-        remainder."""
+        <conv(x), g> = <x, dx>; dw by central differences; with a patch
+        budget of per_chunk samples, so most batches span several chunks and
+        a remainder, and half a sample still lowers one sample per chunk."""
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, h, wd, c))
         w = rng.normal(size=(o, c, 3, 3))
         b = rng.normal(size=o)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(neural, "PATCH_MATRIX_BYTES", per_chunk * h * wd * 9 * c * 8)
+            mp.setattr(neural, "PATCH_MATRIX_BYTES", int(per_chunk * h * wd * 9 * c * 8))
             y, cache = conv2d_forward(x, w, b)
             np.testing.assert_allclose(y, conv2d_reference(x, w, b), rtol=1e-12, atol=1e-12)
+            bare, none = conv2d_forward(x, w, b, need_cache=False)
+            assert none is None and bare.tobytes() == y.tobytes()
             g = rng.normal(size=y.shape)
             dx, dw, db = conv2d_backward(g, cache)
             y0 = y - b
@@ -159,16 +161,34 @@ class TestConv:
         np.testing.assert_array_equal(no_dx[1], dw)
         np.testing.assert_array_equal(no_dx[2], db)
 
+    def test_one_patch_buffer_serves_every_chunk(self, monkeypatch):
+        """Sixteen one-sample chunks: besides the padded input and the
+        output, the forward holds one chunk's patch matrix at a time (9.4
+        MB of patches lowered through one 0.59 MB buffer)."""
+        rng = np.random.default_rng(0)
+        x, w, b = rng.normal(size=(16, 32, 32, 8)), rng.normal(size=(4, 8, 3, 3)), rng.normal(size=4)
+        chunk = 32 * 32 * 9 * 8 * 8
+        monkeypatch.setattr(neural, "PATCH_MATRIX_BYTES", chunk)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y, (xp, _, _) = conv2d_forward(x, w, b)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        held = xp.nbytes + y.nbytes
+        assert held + chunk <= peak <= held + 1.1 * chunk
 
-def maxpool2x2_forward_oracle(x):
+
+def maxpool2x2_forward_oracle(x, *, need_cache=True):
     """Reference 2x2 max pool whose cache keeps the four quadrant views of x
-    and the output."""
+    and the output (None with need_cache=False, as for every primitive)."""
     n, h, w, c = x.shape
     oh, ow = h // 2, w // 2
     xc = x[:, : 2 * oh, : 2 * ow, :]
     quads = (xc[:, 0::2, 0::2], xc[:, 0::2, 1::2], xc[:, 1::2, 0::2], xc[:, 1::2, 1::2])
     y = np.maximum(np.maximum(quads[0], quads[1]), np.maximum(quads[2], quads[3]))
-    return y, (x.shape, quads, y)
+    return y, (x.shape, quads, y) if need_cache else None
 
 
 def maxpool2x2_backward_oracle(g, cache):
@@ -216,6 +236,17 @@ class TestMaxPoolAgainstOracle:
         dx = maxpool2x2_backward(g, cache)
         assert dx.dtype == want_dx.dtype and dx.shape == x.shape and dx.tobytes() == want_dx.tobytes()
 
+    @given(n=st.integers(1, 3), h=st.integers(2, 9), w=st.integers(2, 9), c=st.sampled_from([1, 5, 16]),
+           levels=st.sampled_from([1, 2, 15]), seed=st.integers(0, 2**32 - 1))
+    def test_pool_and_relu_without_cache_give_the_cached_bits(self, n, h, w, c, levels, seed):
+        """Signed zeros in x, and negative inputs that the ReLU turns into
+        -0.0, come out bit for bit as from the cached calls."""
+        x = signed_levels(np.random.default_rng(seed), (n, h, w, c), levels)
+        for forward in (maxpool2x2_forward, relu_forward):
+            y, _ = forward(x)
+            bare, none = forward(x, need_cache=False)
+            assert none is None and bare.dtype == y.dtype and bare.tobytes() == y.tobytes()
+
     @pytest.mark.parametrize("shape", [(2, 8, 8, 16), (1, 7, 9, 5), (3, 2, 2, 1)])
     def test_cache_is_the_shape_and_a_code_that_share_no_memory_with_the_input(self, shape):
         x = np.random.default_rng(0).standard_normal(shape)
@@ -248,8 +279,9 @@ class TestMaxPoolAgainstOracle:
 
     def test_separate_step_peak_memory(self):
         """One default-spec `separate` loss_and_grads step, batch 8, 64 px,
-        traced from its first allocation, peaks at 45.5 MiB; a pool cache
-        that pins its conv output takes it to 88.2 MiB."""
+        traced from its first allocation, peaks at 41.0 MiB; an 8 MiB patch
+        buffer takes it to 45.5 MiB, and a pool cache that pins its conv
+        output to 88.2 MiB."""
         model = Model(ModelSpec(variant="separate", input_resolution=64, output_count=3), seed=0)
         rng = np.random.default_rng(0)
         stacks, dims, targets = [rng.random((8, 5, 64, 64))], np.full(8, 2.0), rng.random((8, 3))
@@ -260,7 +292,7 @@ class TestMaxPoolAgainstOracle:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 46 * 2**20
+        assert peak <= 42 * 2**20
 
 
 class TestSmallLayers:
@@ -342,6 +374,23 @@ class TestModelShapes:
         a = model.forward_batch(x, np.array([2.0]))[0]
         b = model.forward_batch(x, np.array([2.0]))[0]
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", ["combined", "separate"])
+    @pytest.mark.parametrize("stack_count", [1, 2])
+    def test_prediction_pass_gives_the_training_forward_bits(self, variant, stack_count):
+        """forward_batch keeps no cache; its predictions are the bits of the
+        cached forward that training runs, at an odd resolution where every
+        pool drops a row and a column."""
+        spec = ModelSpec(variant=variant, input_resolution=11, output_count=3, stack_count=stack_count,
+                         encoder_channels=(4, 6), head_widths=(8,))
+        model = Model(spec, seed=2)
+        rng = np.random.default_rng(stack_count)
+        stacks = [rng.standard_normal((3, 5, 11, 11)) for _ in range(stack_count)]
+        dims = np.array([2.0, 5.0, 10.0])
+        pred, none = model.forward_batch(stacks, dims)
+        want, cache = model._forward(stacks, dims, need_cache=True)
+        assert none is None and cache is not None
+        assert pred.tobytes() == want.tobytes()
 
     def test_moo_two_stack_model(self):
         spec = ModelSpec(variant="separate", input_resolution=8, output_count=3,
@@ -685,6 +734,7 @@ BAD_SAMPLES = {
     "5d-stack": ([np.zeros((1, 1, 5, 8, 8))], [2.0], ContractError),
     "array-of-stacks": (np.zeros((1, 2, 5, 8, 8)), [2.0, 3.0], ContractError),
     "short-dims": ([np.zeros((2, 5, 8, 8))], [2.0], ContractError),
+    "non-square-stack": ([np.zeros((1, 5, 8, 16))], [2.0], ContractError),
     "nan-stack": ([np.full((1, 5, 8, 8), np.nan)], [2.0], DataError),
     "inf-dims": ([np.zeros((1, 5, 8, 8))], [np.inf], DataError),
 }
