@@ -23,7 +23,6 @@ then view order before the regression head.
 from __future__ import annotations
 
 import base64
-import functools
 import json
 from dataclasses import dataclass, field, fields
 
@@ -230,10 +229,10 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Parameters and layers.  A Layer binds its primitive pair when the model is
-# built, so the benchmark tracer, which replaces the primitives by name for
-# the span of a traced round, times the layers of models built inside that
-# round only.
+# Parameters.  The model calls every layer primitive by its module-level name,
+# so Python looks each one up at call time: the benchmark tracer, which
+# replaces the primitives by name for the span of a traced round, times every
+# model, whenever it was built.
 
 
 class Param:
@@ -245,49 +244,18 @@ class Param:
         self.grad = np.zeros_like(value)
 
 
-class Layer:
-    """forward(x, *param values, need_cache=...) -> (y, cache);
-    backward(g, cache) -> dx, or (dx, *param grads) when the layer owns
-    params."""
-
-    def __init__(self, forward, backward, params=()):
-        self._forward = forward
-        self._backward = backward
-        self.params = list(params)
-
-    def forward(self, x, *, need_cache: bool = True):
-        return self._forward(x, *(p.value for p in self.params), need_cache=need_cache)
-
-    def backward(self, g, cache):
-        """Add the weight gradients into the params; return dx."""
-        if not self.params:
-            return self._backward(g, cache)
-        dx, *grads = self._backward(g, cache)
-        for p, d in zip(self.params, grads):
-            p.grad += d
-        return dx
+def _add_grads(params, dx, dw, db):
+    """Add dw and db into the (w, b) grads; return dx.  dw and db die here, not in the caller."""
+    w, b = params
+    w.grad += dw
+    b.grad += db
+    return dx
 
 
-class Sequential:
-    """A chain of layers: the encoder or the head."""
-
-    def __init__(self, layers):
-        self.layers = list(layers)
-        self.params = [p for layer in self.layers for p in layer.params]
-
-    def forward(self, x, *, need_cache: bool = True):
-        """(y, caches); need_cache=False keeps no cache, so each layer's
-        input is freed as soon as that layer returns."""
-        caches = []
-        for layer in self.layers:
-            x, cache = layer.forward(x, need_cache=need_cache)
-            caches.append(cache)
-        return x, caches
-
-    def backward(self, g, caches):
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            g = layer.backward(g, cache)
-        return g
+def _require_type(name, value, kind):
+    """ContractError naming the argument unless value is a kind."""
+    if not isinstance(value, kind):
+        raise ContractError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _he_params(rng, name, shape, fan_in):
@@ -375,51 +343,39 @@ class TrainConfig:
             raise ContractError(f"augment must be a bool, got {self.augment!r}")
 
 
-def _encoder(spec: ModelSpec, rng) -> Sequential:
-    """Conv blocks (conv-maxpool-relu), then global average pooling.  Output
-    width is independent of the input resolution, so one head serves every
-    probe/input resolution.
-
-    Max pooling and ReLU commute, outputs and gradients included, so
-    pooling first gives the same model and runs the ReLU on a quarter of
-    the values."""
-    layers = []
-    in_ch = spec.encoder_in_channels
-    for i, out_ch in enumerate(spec.encoder_channels):
-        params = _he_params(rng, f"encoder.conv{i}", (out_ch, in_ch, 3, 3), in_ch * 9)
-        # the first layer's input is the data: its gradient is never used
-        layers += [Layer(conv2d_forward, functools.partial(conv2d_backward, need_dx=i > 0), params),
-                   Layer(maxpool2x2_forward, maxpool2x2_backward),
-                   Layer(relu_forward, relu_backward)]
-        in_ch = out_ch
-    layers.append(Layer(global_avg_pool_forward, global_avg_pool_backward))
-    return Sequential(layers)
-
-
-def _head(spec: ModelSpec, rng) -> Sequential:
-    """Dense-relu layers, then a linear output layer."""
-    layers = []
-    in_n = spec.embedding_width + 1  # +1 for the dimension feature
-    for i, width in enumerate(spec.head_widths):
-        params = _he_params(rng, f"head.dense{i}", (width, in_n), in_n)
-        layers += [Layer(dense_forward, dense_backward, params), Layer(relu_forward, relu_backward)]
-        in_n = width
-    params = _he_params(rng, "head.out", (spec.output_count, in_n), in_n)
-    layers.append(Layer(dense_forward, dense_backward, params))
-    return Sequential(layers)
-
-
 class Model:
-    """One shared encoder + regression head predicting per-solver performance."""
+    """One shared encoder + regression head predicting per-solver performance.
+
+    The encoder runs conv blocks (conv-maxpool-relu), then global average
+    pooling; max pooling and ReLU commute, outputs and gradients included,
+    so pooling first gives the same model and runs the ReLU on a quarter of
+    the values.  The embedding width is independent of the input resolution,
+    so one head serves every probe/input resolution.  The head runs
+    dense-relu layers, then a linear output layer."""
 
     def __init__(self, spec: ModelSpec, seed: int):
+        _require_type("spec", spec, ModelSpec)
         self.spec = spec
         rng = seeded_rng("seed", seed, 0xC0DE)
-        self.encoder = _encoder(spec, rng)
-        self.head = _head(spec, rng)
+        channels = (spec.encoder_in_channels, *spec.encoder_channels)
+        self.convs = [_he_params(rng, f"encoder.conv{i}", (o, c, 3, 3), c * 9)
+                      for i, (c, o) in enumerate(zip(channels, channels[1:]))]
+        widths = (spec.embedding_width + 1, *spec.head_widths)  # +1 for the dimension feature
+        self.denses = [_he_params(rng, f"head.dense{i}", (o, c), c) for i, (c, o) in enumerate(zip(widths, widths[1:]))]
+        self.denses.append(_he_params(rng, "head.out", (spec.output_count, widths[-1]), widths[-1]))
+
+    def _require_layout(self, stacks):
+        """ContractError naming both layouts unless stacks, a list of
+        (n, k, r, r) arrays, holds spec.stack_count arrays of
+        spec.view_count views each."""
+        spec = self.spec
+        if len(stacks) != spec.stack_count or stacks[0].shape[1] != spec.view_count:
+            got = f"{len(stacks)} of shape {stacks[0].shape}" if stacks else "none"
+            raise ContractError(f"model expects {spec.stack_count} stack(s) of shape (n, {spec.view_count}, r, r), "
+                                f"got {got}")
 
     def params(self) -> list[Param]:
-        return self.encoder.params + self.head.params
+        return [p for pair in self.convs + self.denses for p in pair]
 
     def forward_batch(self, stacks, dims):
         """Predict (N, output_count) from stacks and dims, the raw problem
@@ -440,26 +396,44 @@ class Model:
         backward_batch consumes; (predictions, None) without."""
         spec = self.spec
         stacks, dims = _samples(stacks, dims)
-        if len(stacks) != spec.stack_count:
-            raise ContractError(f"model expects {spec.stack_count} stack(s), got {len(stacks)}")
-        if stacks[0].shape[1] != spec.view_count:
-            raise ContractError(f"expected stacks of shape (n, {spec.view_count}, r, r), got {stacks[0].shape}")
+        self._require_layout(stacks)
         views = [x[..., None] if spec.variant == "separate" else x.transpose(0, 2, 3, 1) for x in stacks]
-        # np.stack makes the one copy; passed as a temporary, it is freed
-        # once the first convolution has padded it
-        z, enc_cache = self.encoder.forward(np.stack(views, axis=1).reshape(-1, *views[0].shape[-3:]),
-                                            need_cache=need_cache)
-        z = z.reshape(len(dims), spec.embedding_width)
-        h, head_caches = self.head.forward(np.concatenate([z, dims[:, None] * DIMENSION_SCALE], axis=1),
-                                           need_cache=need_cache)
-        return h, (enc_cache, head_caches) if need_cache else None
+        # np.stack makes the one copy; x is rebound to each layer's output,
+        # so the copy is freed once the first convolution has returned
+        x = np.stack(views, axis=1).reshape(-1, *views[0].shape[-3:])
+        blocks = []
+        for w, b in self.convs:
+            x, conv = conv2d_forward(x, w.value, b.value, need_cache=need_cache)
+            x, pool = maxpool2x2_forward(x, need_cache=need_cache)
+            x, relu = relu_forward(x, need_cache=need_cache)
+            blocks.append((conv, pool, relu))
+        x, gap = global_avg_pool_forward(x, need_cache=need_cache)
+        x = np.concatenate([x.reshape(len(dims), spec.embedding_width), dims[:, None] * DIMENSION_SCALE], axis=1)
+        hidden = []
+        for w, b in self.denses[:-1]:
+            x, dense = dense_forward(x, w.value, b.value, need_cache=need_cache)
+            x, relu = relu_forward(x, need_cache=need_cache)
+            hidden.append((dense, relu))
+        w, b = self.denses[-1]
+        y, out = dense_forward(x, w.value, b.value, need_cache=need_cache)
+        return y, (blocks, gap, hidden, out) if need_cache else None
 
     def backward_batch(self, gpred, cache):
-        """Accumulate parameter gradients; augments .grad on every Param."""
-        enc_cache, head_caches = cache
-        g = self.head.backward(gpred, head_caches)
+        """Accumulate parameter gradients; augments .grad on every Param.
+        One statement per step frees each gradient once the next has read it."""
+        blocks, gap, hidden, out = cache
+        g = _add_grads(self.denses[-1], *dense_backward(gpred, out))
+        for params, (dense, relu) in zip(reversed(self.denses[:-1]), reversed(hidden)):
+            g = relu_backward(g, relu)
+            g = _add_grads(params, *dense_backward(g, dense))
         # the last column, the dimension feature, carries no parameters
-        self.encoder.backward(g[:, :-1].reshape(-1, self.spec.encoder_channels[-1]), enc_cache)
+        g = global_avg_pool_backward(g[:, :-1].reshape(-1, self.spec.encoder_channels[-1]), gap)
+        for i in reversed(range(len(self.convs))):
+            conv, pool, relu = blocks[i]
+            g = relu_backward(g, relu)
+            g = maxpool2x2_backward(g, pool)
+            # the first layer's input is the data: its gradient is never used
+            g = _add_grads(self.convs[i], *conv2d_backward(g, conv, need_dx=i > 0))
 
     def loss_and_grads(self, stacks, dims, targets):
         """Mean squared error of one batch; the gradients land in .grad.
@@ -582,11 +556,16 @@ def train(model: Model, dataset: Dataset, config: TrainConfig):
     Randomness (batch order and view-order augmentation) flows from
     config.seed only, so runs are reproducible bit for bit at a fixed BLAS
     thread count; other thread counts may sum matrix products in another
-    order and so differ in the last digits.
+    order and so differ in the last digits.  A dataset whose slot or view
+    count differs from model.spec is refused before the first epoch.
     """
+    _require_type("model", model, Model)
+    _require_type("dataset", dataset, Dataset)
+    _require_type("config", config, TrainConfig)
     n = len(dataset)
     if n == 0:
         raise ContractError("empty training dataset")
+    model._require_layout(dataset.stacks)
     finite_array(dataset.targets, "training targets")
     rng = seeded_rng("seed", config.seed, 0x7EA1)
     opt = Adam(model.params(), config.learning_rate)
@@ -619,6 +598,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig):
 def save_model(model: Model, path) -> None:
     """JSON container with the spec and base64 float64 parameter payloads;
     round-trips bit-exactly."""
+    _require_type("model", model, Model)
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_FORMAT_VERSION,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from contoursel.errors import ContourselError, ContractError
-from contoursel.neural import Dataset, Model, ModelSpec, mse_loss, transform_targets
+from contoursel.neural import Dataset, Model, ModelSpec, TrainConfig, mse_loss, save_model, train, transform_targets
 from contoursel.perfdata import (
     MooHvRecord,
     RunRecord,
@@ -179,9 +179,15 @@ def test_bad_input_raises_a_toolkit_error(call, tmp_path):
     (lambda: Dataset(stacks=None, dims=[2.0], targets=[[0.0, 0.0]]), "stacks"),
     (lambda: ert(None), "records"),
     (lambda: ert([1, 2]), "records"),
+    (lambda: train(None, TWO, TrainConfig(epochs=1)), "model"),
+    (lambda: train(MODEL, None, TrainConfig(epochs=1)), "dataset"),
+    (lambda: train(MODEL, TWO, None), "config"),
+    (lambda: Model(None, 0), "spec"),
+    (lambda: save_model(None, "unused.json"), "model"),
 ], ids=["ref-number", "ref-none", "forward-stacks-number", "ert-table-none", "ert-table-numbers", "moo-table-none",
         "moo-table-list-best", "emit-runs-none", "emit-moo-hv-numbers", "model-seed-text", "dataset-stacks-none",
-        "ert-none", "ert-numbers"])
+        "ert-none", "ert-numbers", "train-model-none", "train-dataset-none", "train-config-none", "model-spec-none",
+        "save-model-none"])
 def test_a_non_sequence_argument_is_named(call, name):
     with pytest.raises(ContourselError, match=name):
         call()
