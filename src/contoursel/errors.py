@@ -1,14 +1,18 @@
-"""Exception types and number checks shared across the toolkit.
+"""Exception types, checks and the file opener shared across the toolkit.
 
 Library code raises the most specific class that applies instead of a bare
 ValueError, so callers can tell bad input from bad data and from divergence.
 A violated precondition, such as a wrong shape or a non-integer count, is a
 ContractError; data that is unusable as numbers is a DataError.  The checks
-below raise them: require_integer and seeded_rng a ContractError naming the
-value, float_array a DataError for input numpy cannot convert, finite_array
-also for NaN or inf.  is_integer and is_real only answer True or False.
+below raise them: require_integer, require_type and seeded_rng a
+ContractError naming the argument, float_array a DataError for input numpy
+cannot convert, finite_array also for NaN or inf.  is_integer and is_real
+only answer True or False.  opened opens every file the toolkit reads or
+writes: an OSError becomes a ContractError naming the path, text that is
+not UTF-8 a ParseError.
 """
 
+import contextlib
 import math
 import numbers
 
@@ -63,6 +67,30 @@ def require_integer(name: str, value, minimum: int | None = None) -> None:
     if not is_integer(value, minimum):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ContractError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def require_type(name: str, value, kind) -> None:
+    """Raise ContractError naming the argument unless value is a kind (a class or a tuple of them)."""
+    if not isinstance(value, kind):
+        wanted = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        got = f"{type(value).__module__}.{type(value).__qualname__}".removeprefix("builtins.")
+        raise ContractError(f"{name} must be a {wanted}, got {got}")
+
+
+@contextlib.contextmanager
+def opened(path, mode: str = "r"):
+    """open(path, mode), text as UTF-8 with newline=""; an OSError at open,
+    read, write or close raises ContractError naming the path and the OS
+    reason, and undecodable text raises ParseError naming the path."""
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(path, mode, **text) as fh:
+            yield fh
+    except OSError as exc:
+        raise ContractError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        # the decoder reads ahead in blocks, so the line is unknown
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def seeded_rng(name: str, seed, *salt: int) -> "np.random.Generator":

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import (
-    ContractError, DataError, ParseError, TrainingError, finite_array, float_array, is_integer, is_real,
-    require_integer, seeded_rng,
+    ContractError, DataError, ParseError, TrainingError, finite_array, float_array, is_integer, is_real, opened,
+    require_integer, require_type, seeded_rng,
 )
 
 MODEL_FORMAT = "contoursel.model"
@@ -252,10 +252,13 @@ def _add_grads(params, dx, dw, db):
     return dx
 
 
-def _require_type(name, value, kind):
-    """ContractError naming the argument unless value is a kind."""
-    if not isinstance(value, kind):
-        raise ContractError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+def _entry(mapping, key, kind):
+    """mapping[key]; ContractError naming the key unless mapping is a dict holding a kind there."""
+    require_type(f"the container of {key!r}", mapping, dict)
+    if key not in mapping:
+        raise ContractError(f"missing key {key!r}")
+    require_type(repr(key), mapping[key], kind)
+    return mapping[key]
 
 
 def _he_params(rng, name, shape, fan_in):
@@ -317,11 +320,10 @@ class ModelSpec:
 
     @staticmethod
     def from_json(data: dict) -> "ModelSpec":
-        """Inverse of to_json; KeyError for a missing key, ContractError for
-        anything else that is not a valid spec."""
-        if not isinstance(data, dict):
-            raise ContractError(f"a model spec is a JSON object, not {type(data).__name__}")
-        return ModelSpec(**{f.name: data[f.name] for f in fields(ModelSpec)})
+        """Inverse of to_json; ContractError naming the key for a missing
+        field, and for anything else that is not a valid spec."""
+        require_type("a model spec", data, dict)
+        return ModelSpec(**{f.name: _entry(data, f.name, object) for f in fields(ModelSpec)})
 
 
 @dataclass(frozen=True)
@@ -339,8 +341,7 @@ class TrainConfig:
         require_integer("epochs", self.epochs, 1)
         require_integer("batch_size", self.batch_size, 1)
         require_integer("seed", self.seed)
-        if not isinstance(self.augment, bool):
-            raise ContractError(f"augment must be a bool, got {self.augment!r}")
+        require_type("augment", self.augment, bool)
 
 
 class Model:
@@ -354,7 +355,7 @@ class Model:
     dense-relu layers, then a linear output layer."""
 
     def __init__(self, spec: ModelSpec, seed: int):
-        _require_type("spec", spec, ModelSpec)
+        require_type("spec", spec, ModelSpec)
         self.spec = spec
         rng = seeded_rng("seed", seed, 0xC0DE)
         channels = (spec.encoder_in_channels, *spec.encoder_channels)
@@ -493,8 +494,7 @@ def _samples(stacks, dims):
     and dims as a finite float64 (n,) array of problem dimensions;
     ContractError for a wrong container, rank, shape or length, DataError
     for values that are not finite numbers."""
-    if not isinstance(stacks, (list, tuple)):
-        raise ContractError(f"stacks must be a list or tuple of stack arrays, got {type(stacks).__name__}")
+    require_type("stacks", stacks, (list, tuple))
     dims = finite_array(dims, "problem dimensions")
     if dims.ndim != 1:
         raise ContractError(f"problem dimensions must be a 1-D array, one per sample, got shape {dims.shape}")
@@ -522,6 +522,7 @@ class Dataset:
 
     def __post_init__(self):
         self.stacks, self.dims = _samples(self.stacks, self.dims)
+        require_type("tags", self.tags, (list, tuple))
         self.targets = float_array(self.targets, "training targets")
         if self.targets.ndim != 2 or len(self.targets) != len(self.dims):
             raise ContractError(f"{len(self.dims)} dims but targets of shape {self.targets.shape}, want (n, m)")
@@ -556,12 +557,15 @@ def train(model: Model, dataset: Dataset, config: TrainConfig):
     Randomness (batch order and view-order augmentation) flows from
     config.seed only, so runs are reproducible bit for bit at a fixed BLAS
     thread count; other thread counts may sum matrix products in another
-    order and so differ in the last digits.  A dataset whose slot or view
-    count differs from model.spec is refused before the first epoch.
+    order and so differ in the last digits.  The dataset is checked again
+    as Dataset checks it, since its fields may have been reassigned, and one
+    whose slot or view count differs from model.spec is refused before the
+    first epoch.
     """
-    _require_type("model", model, Model)
-    _require_type("dataset", dataset, Dataset)
-    _require_type("config", config, TrainConfig)
+    require_type("model", model, Model)
+    require_type("dataset", dataset, Dataset)
+    require_type("config", config, TrainConfig)
+    dataset = Dataset(dataset.stacks, dataset.dims, dataset.targets, dataset.tags)
     n = len(dataset)
     if n == 0:
         raise ContractError("empty training dataset")
@@ -598,7 +602,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig):
 def save_model(model: Model, path) -> None:
     """JSON container with the spec and base64 float64 parameter payloads;
     round-trips bit-exactly."""
-    _require_type("model", model, Model)
+    require_type("model", model, Model)
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_FORMAT_VERSION,
@@ -612,53 +616,36 @@ def save_model(model: Model, path) -> None:
             for p in model.params()
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with opened(path, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")
 
 
 def load_model(path) -> Model:
+    """The model save_model wrote to path, bit-exactly; DataError naming the
+    path for parameters that do not fit, ParseError for a malformed container."""
+    with opened(path) as fh:
+        text = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        payload = json.loads(text)
+        form, version = _entry(payload, "format", str), _entry(payload, "version", int)
+        if form != MODEL_FORMAT or type(version) is not int or version != MODEL_FORMAT_VERSION:
+            raise ParseError(f"{path}: unknown model format")
+        model = Model(ModelSpec.from_json(_entry(payload, "spec", dict)), seed=0)
+        stored = _entry(payload, "params", list)
+        if len(stored) != len(model.params()):
+            raise DataError(f"{path}: parameter count mismatch")
+        for p, entry in zip(model.params(), stored):
+            name, shape = _entry(entry, "name", str), _entry(entry, "shape", list)
+            if name != p.name or tuple(shape) != p.value.shape:
+                raise DataError(f"{path}: parameter {name} does not fit the spec")
+            try:
+                arr = np.frombuffer(base64.b64decode(_entry(entry, "data", str), validate=True), dtype="<f8")
+            except ValueError as exc:
+                raise ParseError(f"{path}: parameter {name} payload is not base64 float64: {exc}") from exc
+            if arr.size != p.value.size:
+                raise DataError(f"{path}: parameter {name} has wrong payload size")
+            p.value[...] = finite_array(arr, f"{path}: parameter {name}").reshape(p.value.shape)
+    except (json.JSONDecodeError, ContractError) as exc:
         raise ParseError(f"{path}: not a valid model container: {exc}") from exc
-    if (
-        not isinstance(payload, dict)
-        or payload.get("format") != MODEL_FORMAT
-        or type(payload.get("version")) is not int
-        or payload["version"] != MODEL_FORMAT_VERSION
-    ):
-        raise ParseError(f"{path}: unknown model format")
-    try:
-        spec = ModelSpec.from_json(payload["spec"])
-        stored = payload["params"]
-    except KeyError as exc:
-        raise ParseError(f"{path}: model container lacks key {exc}") from exc
-    except ContractError as exc:
-        raise ParseError(f"{path}: invalid model spec: {exc}") from exc
-    if not isinstance(stored, list):
-        raise ParseError(f"{path}: params must be a list, not {type(stored).__name__}")
-    model = Model(spec, seed=0)
-    params = model.params()
-    if len(stored) != len(params):
-        raise DataError(f"{path}: parameter count mismatch")
-    for p, entry in zip(params, stored):
-        if not isinstance(entry, dict):
-            raise ParseError(f"{path}: a parameter entry is a {type(entry).__name__}, not an object")
-        try:
-            name, shape, data = entry["name"], entry["shape"], entry["data"]
-        except KeyError as exc:
-            raise ParseError(f"{path}: parameter entry lacks key {exc}") from exc
-        if not isinstance(shape, list):
-            raise ParseError(f"{path}: parameter {name} has shape {shape!r}, not a list")
-        if name != p.name or tuple(shape) != p.value.shape:
-            raise DataError(f"{path}: parameter {name} does not fit the spec")
-        try:
-            arr = np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8")
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: parameter {name} payload is not base64 float64: {exc}") from exc
-        if arr.size != p.value.size:
-            raise DataError(f"{path}: parameter {name} has wrong payload size")
-        p.value[...] = finite_array(arr, f"{path}: parameter {name}").reshape(p.value.shape)
     return model

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError, ParseError, finite_array, is_integer, is_real, require_integer
+from .errors import (
+    ContractError, DataError, ParseError, finite_array, is_integer, is_real, opened, require_integer, require_type,
+)
 
 log = logging.getLogger(__name__)
 
@@ -46,8 +48,7 @@ class RunRecord:
     def __post_init__(self):
         minimums = (("dimension", 1), ("instance_index", 0), ("evaluations_used", 1))
         _check_fields(self, ("algorithm", "function_code"), minimums)
-        if not isinstance(self.success, bool):
-            raise ContractError(f"success must be a bool, got {self.success!r}")
+        require_type("success", self.success, bool)
 
 
 @dataclass(frozen=True)
@@ -341,7 +342,7 @@ def build_moo_table(records, hv_best: dict) -> MooPerfTable:
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with opened(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -352,7 +353,7 @@ def _read_csv(path, header, parse_row) -> list:
     it rejects, a row the csv module cannot split and bytes that are not
     UTF-8 raise ParseError naming the path, and the line where it is known."""
     records = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with opened(path) as fh:
         reader = csv.reader(fh)
         try:
             got = next(reader, None)
@@ -367,9 +368,6 @@ def _read_csv(path, header, parse_row) -> list:
                     raise ParseError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
         except csv.Error as exc:
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            # the decoder reads ahead in blocks, so the line is unknown
-            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     return records
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ContractError, DataError, finite_array, float_array, is_integer, is_real, require_integer, seeded_rng,
+    ContractError, DataError, finite_array, float_array, is_integer, is_real, opened, require_integer, require_type,
+    seeded_rng,
 )
 from .suite import (
     DOMAIN_HI,
@@ -70,16 +71,11 @@ class ContourStack:
         return self.views.copy()
 
 
-def _require_generator(rng) -> None:
-    if not isinstance(rng, np.random.Generator):
-        raise ContractError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
-
-
 def plan_slice(d: int, rng: np.random.Generator) -> tuple[int, int]:
     """Choose the 2-D cross-section: an ascending (i, j) pair of coordinates,
     uniform over unordered pairs; (0, 1) when d == 2."""
     require_integer("slice dimension", d, 2)
-    _require_generator(rng)
+    require_type("rng", rng, np.random.Generator)
     if d == 2:
         return (0, 1)
     pair = rng.choice(d, size=2, replace=False)
@@ -120,8 +116,7 @@ def probe_grid_moo(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate both objectives of a MOO instance over the same grid."""
     require_instance(inst, "moo", "probe_grid_moo")
-    if not isinstance(window, Window):
-        raise ContractError(f"window must be a Window, got {type(window).__name__}")
+    require_type("window", window, Window)
     f1, f2 = evaluate_moo_batch(inst, _grid_points(inst, (0, 1), r, window)).T
     return f1.reshape(r, r), f2.reshape(r, r)
 
@@ -192,7 +187,7 @@ def sample_window(lam: float, rng: np.random.Generator) -> Window:
     """Uniformly place a window with sides lam * domain side inside the domain."""
     if not (is_real(lam) and 0.0 < lam <= 1.0):
         raise ContractError(f"window scale must be a real number in (0, 1], got {lam!r}")
-    _require_generator(rng)
+    require_type("rng", rng, np.random.Generator)
     side = lam * (DOMAIN_HI - DOMAIN_LO)
     corner = rng.uniform(DOMAIN_LO, DOMAIN_HI - side, size=2)
     return Window(lo=(float(corner[0]), float(corner[1])), side=(side, side))
@@ -282,6 +277,6 @@ def write_pgm(field, path) -> None:
         raise DataError("write_pgm expects a normalized field")
     pixels = np.floor(np.flipud(vals) * 255.0 + 0.5).astype(np.uint8)
     h, w = pixels.shape
-    with open(path, "wb") as fh:
+    with opened(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (w, h))
         fh.write(pixels.tobytes())

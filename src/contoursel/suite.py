@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ContractError, DataError, InvalidProblemError, finite_array, float_array, is_integer, require_integer, seeded_rng,
+    ContractError, DataError, InvalidProblemError, finite_array, float_array, is_integer, require_integer, require_type,
+    seeded_rng,
 )
 from .perfdata import nondominated_2d
 
@@ -116,8 +117,7 @@ def make_instance(pid: ProblemId, seed: int) -> ProblemInstance:
     ZDT problems are canonical (no shift); bi_sphere draws its two centers
     from the same seeded stream.
     """
-    if not isinstance(pid, ProblemId):
-        raise ContractError(f"pid must be a ProblemId, got {type(pid).__name__}")
+    require_type("pid", pid, ProblemId)
     salt = (_KIND_CODE[pid.kind], _FUNCTION_CODE[pid.function_code], pid.dimension, pid.instance_index)
     rng = seeded_rng("instance seed", seed, *salt)
     if pid.kind == "soo":

@@ -1,21 +1,29 @@
-"""Every public array entry point refuses bad input with a ContourselError:
-text, ragged nesting, point arrays of the wrong width, and NaN or inf where
-a non-finite value would otherwise flow through as a silent NaN."""
+"""Every public entry point refuses bad input with a ContourselError: text,
+ragged nesting, point arrays of the wrong width, NaN or inf where a
+non-finite value would otherwise flow through as a silent NaN, arguments of
+the wrong type, and paths that cannot be opened."""
+
+import re
 
 import numpy as np
 import pytest
 
 from contoursel.errors import ContourselError, ContractError
-from contoursel.neural import Dataset, Model, ModelSpec, TrainConfig, mse_loss, save_model, train, transform_targets
+from contoursel.neural import (
+    Dataset, Model, ModelSpec, TrainConfig, load_model, mse_loss, save_model, train, transform_targets,
+)
 from contoursel.perfdata import (
     MooHvRecord,
     RunRecord,
     build_moo_table,
     emit_moo_hv,
+    emit_relert_table,
     emit_runs,
     ert,
     ert_table,
     hypervolume_2d,
+    ingest_moo_hv,
+    ingest_runs,
     nondominated_2d,
     reference_point,
     relert_matrix,
@@ -24,10 +32,12 @@ from contoursel.prober import (
     Window,
     build_moo_stacks,
     normalize,
+    plan_slice,
     probe_grid,
     probe_grid_moo,
     quantize_levels,
     resize_bilinear,
+    sample_window,
     write_pgm,
 )
 from contoursel.suite import (
@@ -59,6 +69,26 @@ INF_POINTS = np.array([[0.1, 0.2], [0.3, -np.inf]])
 
 def forward(stack=STACK, dims=(2.0,)):
     return MODEL.forward_batch([stack], dims)
+
+
+def mutated(field, value):
+    """TWO rebuilt, then one field reassigned after construction."""
+    dataset = TWO.subset([0, 1])
+    setattr(dataset, field, value)
+    return dataset
+
+
+# every entry point that reads or writes a file, called on the path it gets
+FILE_CALLS = {
+    "save-model": lambda path: save_model(MODEL, path),
+    "load-model": load_model,
+    "emit-runs": lambda path: emit_runs(path, [RunRecord("a", "sphere", 2, 0, 100, True)]),
+    "ingest-runs": ingest_runs,
+    "emit-moo-hv": lambda path: emit_moo_hv(path, [MooHvRecord("a", "i", 0, 0.5)]),
+    "ingest-moo-hv": ingest_moo_hv,
+    "emit-relert-table": lambda path: emit_relert_table(path, relert_matrix({("f", 2, "a"): 1.0})),
+    "write-pgm": lambda path: write_pgm(np.zeros((2, 2)), path),
+}
 
 
 CASES = {
@@ -156,6 +186,13 @@ CASES = {
     "loss-targets-nan": lambda tmp: MODEL.loss_and_grads([STACK], [2.0], [[np.nan, 0.0]]),
     "mse-empty": lambda tmp: mse_loss(np.zeros((0, 2)), np.zeros((0, 2))),
     "loss-empty-batch": lambda tmp: MODEL.loss_and_grads([STACK[:0]], [], np.zeros((0, 2))),
+    "spec-missing-key": lambda tmp: ModelSpec.from_json({k: v for k, v in SPEC.to_json().items() if k != "view_count"}),
+    "train-mutated-stacks": lambda tmp: train(MODEL, mutated("stacks", 5), TrainConfig(epochs=1)),
+    "train-mutated-dims": lambda tmp: train(MODEL, mutated("dims", [2.0]), TrainConfig(epochs=1)),
+    "train-mutated-targets": lambda tmp: train(MODEL, mutated("targets", [[0.0, 0.0]]), TrainConfig(epochs=1)),
+    **{f"{name}-missing-directory": lambda tmp, call=call: call(tmp / "missing" / "file")
+       for name, call in FILE_CALLS.items()},
+    **{f"{name}-directory": lambda tmp, call=call: call(tmp) for name, call in FILE_CALLS.items()},
 }
 
 
@@ -184,13 +221,31 @@ def test_bad_input_raises_a_toolkit_error(call, tmp_path):
     (lambda: train(MODEL, TWO, None), "config"),
     (lambda: Model(None, 0), "spec"),
     (lambda: save_model(None, "unused.json"), "model"),
+    (lambda: plan_slice(3, 0), "rng"),
+    (lambda: sample_window(0.5, None), "rng"),
+    (lambda: probe_grid_moo(MOO, 4, window=None), "window"),
+    (lambda: make_instance(None, 3), "pid"),
+    (lambda: Dataset(stacks=[STACK], dims=[2.0], targets=[[0.0, 0.0]], tags=5), "tags"),
 ], ids=["ref-number", "ref-none", "forward-stacks-number", "ert-table-none", "ert-table-numbers", "moo-table-none",
         "moo-table-list-best", "emit-runs-none", "emit-moo-hv-numbers", "model-seed-text", "dataset-stacks-none",
         "ert-none", "ert-numbers", "train-model-none", "train-dataset-none", "train-config-none", "model-spec-none",
-        "save-model-none"])
+        "save-model-none", "plan-slice-rng", "sample-window-rng", "probe-grid-moo-window", "make-instance-pid",
+        "dataset-tags-number"])
 def test_a_non_sequence_argument_is_named(call, name):
     with pytest.raises(ContourselError, match=name):
         call()
+
+
+def test_a_wrong_type_is_named_with_its_module():
+    """numpy 2 names its bool scalar type `bool` too."""
+    with pytest.raises(ContractError, match=r"success must be a bool, got numpy\.bool_?$"):
+        RunRecord("a", "sphere", 2, 0, 100, np.True_)
+
+
+def test_a_path_that_cannot_be_opened_is_named_with_the_reason(tmp_path):
+    path = tmp_path / "missing" / "runs.csv"
+    with pytest.raises(ContractError, match=re.escape(f"{path}: No such file or directory")):
+        ingest_runs(path)
 
 
 @pytest.mark.parametrize("indices, index", [([5], "5"), ([1, -1], "-1"), ([0, 2, 3], "2")],

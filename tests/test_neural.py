@@ -887,6 +887,19 @@ class TestPersistence:
         with pytest.raises(DataError, match="parameter count mismatch"):
             load_model(path)
 
+    @pytest.mark.parametrize("key", list(tiny_spec().to_json()))
+    def test_spec_missing_key_is_named(self, key):
+        data = tiny_spec().to_json()
+        del data[key]
+        with pytest.raises(ContractError, match=f"missing key '{key}'"):
+            ModelSpec.from_json(data)
+
+    def test_not_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"format": "\xff"}\n')
+        with pytest.raises(ParseError, match=re.escape(f"{path}: not UTF-8 text")):
+            load_model(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         model = Model(tiny_spec(), seed=0)
         path = tmp_path / "model.json"

@@ -1,6 +1,8 @@
 """Rules the package's source keeps, read from its syntax tree: every raise
-names a toolkit error class, and only the standard library and numpy are
-imported; and from the imported modules: no module holds a writable array."""
+names a toolkit error class, only the standard library and numpy are
+imported, and files are opened and argument types refused only through
+errors.py's helpers; and from the imported modules: no module holds a
+writable array."""
 
 import ast
 import importlib
@@ -14,6 +16,7 @@ from contoursel.errors import ContourselError
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "contoursel"
 MODULES = sorted(PACKAGE.glob("*.py"))
+HELPED = [p for p in MODULES if p.stem != "errors"]  # errors.py holds the helpers
 
 
 def tree(path):
@@ -55,3 +58,33 @@ def test_no_module_level_array_is_writable(path):
     writable = [name for name, value in vars(module).items()
                 if isinstance(value, np.ndarray) and value.flags.writeable]
     assert not writable, f"{path.name}: writable module-level arrays {writable}"
+
+
+@pytest.mark.parametrize("path", HELPED, ids=[p.stem for p in HELPED])
+def test_files_are_opened_only_through_errors_opened(path):
+    """errors.opened turns every OSError and undecodable byte into a toolkit
+    error naming the path; a bare open would leak them."""
+    bad = [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree(path))
+           if isinstance(node, ast.Call) and "open" in (getattr(node.func, name, None) for name in ("id", "attr"))]
+    assert not bad, "\n".join(bad)
+
+
+def _is_type_refusal(node):
+    """True for `if not isinstance(...): raise ContractError/ParseError(...)`
+    with no else branch: the check errors.require_type makes."""
+    if not (isinstance(node, ast.If) and not node.orelse and len(node.body) == 1
+            and isinstance(node.body[0], ast.Raise)):
+        return False
+    test, exc = node.test, node.body[0].exc
+    return (
+        isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not) and isinstance(test.operand, ast.Call)
+        and getattr(test.operand.func, "id", None) == "isinstance"
+        and isinstance(exc, ast.Call) and getattr(exc.func, "id", None) in ("ContractError", "ParseError")
+    )
+
+
+@pytest.mark.parametrize("path", HELPED, ids=[p.stem for p in HELPED])
+def test_argument_types_are_refused_only_through_require_type(path):
+    bad = [f"{path.name}:{node.lineno}: {ast.unparse(node.test)}"
+           for node in ast.walk(tree(path)) if _is_type_refusal(node)]
+    assert not bad, "\n".join(bad)
