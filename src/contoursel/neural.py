@@ -278,7 +278,6 @@ class ModelSpec:
     stack_count: int = 1  # 2 for bi-objective models
     encoder_channels: tuple = (16, 32, 64)
     head_widths: tuple = (128,)
-    target_transform: str = "log10_relert"
 
     def __post_init__(self):
         for name in ("input_resolution", "output_count", "view_count", "stack_count"):
@@ -292,8 +291,8 @@ class ModelSpec:
             object.__setattr__(self, name, tuple(int(v) for v in widths))
         if self.variant not in ("combined", "separate"):
             raise ContractError(f"unknown variant {self.variant!r}")
-        if self.target_transform not in ("log10_relert", "relhv_clip"):
-            raise ContractError(f"unknown target transform {self.target_transform!r}")
+        if not self.encoder_channels:
+            raise ContractError("encoder_channels must hold at least one width, got ()")
         if self.input_resolution < 2 ** len(self.encoder_channels):
             raise ContractError(
                 f"resolution {self.input_resolution} too small for "
@@ -320,8 +319,10 @@ class ModelSpec:
 
     @staticmethod
     def from_json(data: dict) -> "ModelSpec":
-        """Inverse of to_json; ContractError naming the key for a missing
-        field, and for anything else that is not a valid spec."""
+        """Inverse of to_json; keys that name no field are skipped, so a
+        container that holds a since-deleted field still loads.
+        ContractError naming the key for a missing field, and for anything
+        else that is not a valid spec."""
         require_type("a model spec", data, dict)
         return ModelSpec(**{f.name: _entry(data, f.name, object) for f in fields(ModelSpec)})
 
@@ -332,7 +333,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 8
     seed: int = 0
-    augment: bool = True  # per-sample view-order shuffling each epoch
 
     def __post_init__(self):
         lr = self.learning_rate
@@ -341,7 +341,6 @@ class TrainConfig:
         require_integer("epochs", self.epochs, 1)
         require_integer("batch_size", self.batch_size, 1)
         require_integer("seed", self.seed)
-        require_type("augment", self.augment, bool)
 
 
 class Model:
@@ -554,8 +553,9 @@ class Dataset:
 def train(model: Model, dataset: Dataset, config: TrainConfig):
     """Train in place; returns the per-epoch mean loss curve.
 
-    Randomness (batch order and view-order augmentation) flows from
-    config.seed only, so runs are reproducible bit for bit at a fixed BLAS
+    Every epoch draws a new batch order and a new view order per sample,
+    shared by the sample's slots.  That randomness flows from config.seed
+    only, so runs are reproducible bit for bit at a fixed BLAS
     thread count; other thread counts may sum matrix products in another
     order and so differ in the last digits.  The dataset is checked again
     as Dataset checks it, since its fields may have been reassigned, and one
@@ -574,12 +574,10 @@ def train(model: Model, dataset: Dataset, config: TrainConfig):
     rng = seeded_rng("seed", config.seed, 0x7EA1)
     opt = Adam(model.params(), config.learning_rate)
     k = model.spec.view_count
-    views = np.broadcast_to(np.arange(k), (n, k))
     losses = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        if config.augment:
-            views = np.argsort(rng.random((n, k)), axis=1)
+        views = np.argsort(rng.random((n, k)), axis=1)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]

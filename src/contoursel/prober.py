@@ -143,19 +143,14 @@ def normalize(field) -> np.ndarray:
 
 
 def quantize_levels(field, levels: int) -> np.ndarray:
-    """Snap a normalized field onto L level bands (filled-contour emulation).
-
-    Each value maps to the midpoint of its band; levels=0 passes the
-    continuous field through unchanged.
-    """
-    require_integer("levels", levels, 0)
+    """Snap a normalized field onto L >= 1 level bands (filled-contour
+    emulation) in a new array: each value maps to the midpoint of its band."""
+    require_integer("levels", levels, 1)
     vals = float_array(field, "a field")
     if vals.size == 0:
         raise ContractError(f"quantize_levels expects a nonempty field, got shape {vals.shape}")
     if not (vals.min() >= 0.0 and vals.max() <= 1.0):
         raise ContractError("quantize_levels expects a field normalized to [0, 1]")
-    if levels == 0:
-        return vals
     v = np.minimum(vals, 1.0 - 1e-12)
     v *= levels
     np.floor(v, out=v)
@@ -193,8 +188,8 @@ def sample_window(lam: float, rng: np.random.Generator) -> Window:
     return Window(lo=(float(corner[0]), float(corner[1])), side=(side, side))
 
 
-def _finish_view(field: np.ndarray, levels: int, r_out: int) -> np.ndarray:
-    return resize_bilinear(quantize_levels(normalize(field), levels), r_out)
+def _finish_view(field: np.ndarray, r_out: int) -> np.ndarray:
+    return resize_bilinear(quantize_levels(normalize(field), DEFAULT_LEVELS), r_out)
 
 
 def build_soo_stack(
@@ -204,15 +199,14 @@ def build_soo_stack(
     slice_seed: int,
     r_probe: int = DEFAULT_PROBE_RESOLUTION,
     r_out: int = 64,
-    levels: int = DEFAULT_LEVELS,
 ) -> ContourStack:
     """Probe the five instances of a (function, dimension) configuration.
 
     Each instance draws its own random slice; views are normalized,
-    quantized, and resized independently into one (5, r_out, r_out) array.
-    The evaluation budget is spent at r_probe only; resizing never
-    re-evaluates.  evaluations_spent sums the sizes of the five probed
-    fields, 5 * r_probe**2.
+    quantized to DEFAULT_LEVELS bands, and resized independently into one
+    (5, r_out, r_out) array.  The evaluation budget is spent at r_probe
+    only; resizing never re-evaluates.  evaluations_spent sums the sizes of
+    the five probed fields, 5 * r_probe**2.
     """
     seeds = list(instance_seeds) if np.iterable(instance_seeds) else []
     if len(seeds) != VIEWS_PER_STACK or not all(is_integer(s) for s in seeds):
@@ -228,7 +222,7 @@ def build_soo_stack(
         inst = make_instance(pid, inst_seed)
         axes = plan_slice(dimension, seeded_rng("slice_seed", slice_seed, idx))
         raw = probe_grid(inst, axes, r_probe)
-        views[idx] = _finish_view(raw, levels, r_out)
+        views[idx] = _finish_view(raw, r_out)
         spent += raw.size
         source.append({"instance_index": idx, "seed": int(inst_seed), "axes": list(axes)})
     return ContourStack(views=views, source=source, evaluations_spent=spent)
@@ -240,28 +234,30 @@ def build_moo_stacks(
     lam: float = MOO_WINDOW_SCALE,
     r_probe: int = DEFAULT_PROBE_RESOLUTION,
     r_out: int = 64,
-    levels: int = DEFAULT_LEVELS,
 ) -> tuple[ContourStack, ContourStack]:
     """Sample five windows and probe both objectives over each.
 
     View i of both returned stacks shares window i; the two objectives are
-    normalized independently so each keeps its own geometry.  The two stacks
-    hold the halves of one (2, 5, r_out, r_out) array.  Each grid point is
-    one evaluation of both objectives, so each stack books the size of the
-    fields it finishes: 5 * r_probe**2 evaluations, as a SOO stack does.
+    normalized independently so each keeps its own geometry, and each is
+    quantized to DEFAULT_LEVELS bands.  The two stacks hold the halves of
+    one (2, 5, r_out, r_out) array; their source lists are equal but share
+    no object, so provenance written to one stays out of the other.  Each
+    grid point is one evaluation of both objectives, so each stack books
+    the size of the fields it finishes: 5 * r_probe**2 evaluations, as a
+    SOO stack does.
     """
     require_instance(inst, "moo", "build_moo_stacks")
     require_integer("r_out", r_out, 2)
     spent = [0, 0]
     views = np.empty((2, VIEWS_PER_STACK, r_out, r_out))
-    source = []
-    for i in range(VIEWS_PER_STACK):
-        window = sample_window(lam, rng)
+    windows = [sample_window(lam, rng) for _ in range(VIEWS_PER_STACK)]
+    for i, window in enumerate(windows):
         for k, raw in enumerate(probe_grid_moo(inst, r_probe, window=window)):
-            views[k, i] = _finish_view(raw, levels, r_out)
+            views[k, i] = _finish_view(raw, r_out)
             spent[k] += raw.size
-        source.append({"window": window.to_json()})
-    return tuple(ContourStack(views=v, source=source, evaluations_spent=n) for v, n in zip(views, spent))
+    # to_json builds new dicts and lists on every call
+    return tuple(ContourStack(views=v, source=[{"window": w.to_json()} for w in windows], evaluations_spent=n)
+                 for v, n in zip(views, spent))
 
 
 def write_pgm(field, path) -> None:

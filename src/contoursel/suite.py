@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ContractError, DataError, InvalidProblemError, finite_array, float_array, is_integer, require_integer, require_type,
-    seeded_rng,
+    ContractError, DataError, InvalidProblemError, finite_array, is_integer, require_integer, require_type, seeded_rng,
 )
 from .perfdata import nondominated_2d
 
@@ -201,14 +200,6 @@ def _batch_points(xs, d: int) -> np.ndarray:
     return xs
 
 
-def _point(x) -> np.ndarray:
-    """x, one point, as a (1, d) float64 batch."""
-    x = float_array(x, "a point")
-    if x.ndim != 1:
-        raise ContractError(f"expected a 1-D point, got shape {x.shape}")
-    return x[None, :]
-
-
 def _blocks(xs):
     """(slice, (d, m) coordinate rows) per block of BLOCK_POINTS points."""
     for start in range(0, len(xs), BLOCK_POINTS):
@@ -228,11 +219,6 @@ def evaluate_soo_batch(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
         out[blk] = _SOO_FORMULAS[inst.id.function_code](z)
     out += inst.f_opt
     return out
-
-
-def evaluate_soo(inst: ProblemInstance, x: np.ndarray) -> float:
-    """Evaluate one point; minimum value f_opt is attained at x_opt."""
-    return float(evaluate_soo_batch(inst, _point(x))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +261,6 @@ def evaluate_moo_batch(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
             out[0, blk] = u[0]
             out[1, blk] = _zdt_f2(code, u[0], 1.0 + 9.0 * u[1])
     return out.T
-
-
-def evaluate_moo(inst: ProblemInstance, x: np.ndarray) -> tuple[float, float]:
-    f1, f2 = evaluate_moo_batch(inst, _point(x))[0]
-    return float(f1), float(f2)
 
 
 def pareto_front_points(inst: ProblemInstance, n: int = 2001) -> np.ndarray:

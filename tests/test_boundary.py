@@ -3,14 +3,16 @@ ragged nesting, point arrays of the wrong width, NaN or inf where a
 non-finite value would otherwise flow through as a silent NaN, arguments of
 the wrong type, and paths that cannot be opened."""
 
+import base64
+import json
 import re
 
 import numpy as np
 import pytest
 
-from contoursel.errors import ContourselError, ContractError
+from contoursel.errors import ContourselError, ContractError, DataError, InvalidProblemError, ParseError
 from contoursel.neural import (
-    Dataset, Model, ModelSpec, TrainConfig, load_model, mse_loss, save_model, train, transform_targets,
+    Dataset, Model, ModelSpec, TrainConfig, dense_forward, load_model, mse_loss, save_model, train, transform_targets,
 )
 from contoursel.perfdata import (
     MooHvRecord,
@@ -42,9 +44,7 @@ from contoursel.prober import (
 )
 from contoursel.suite import (
     ProblemId,
-    evaluate_moo,
     evaluate_moo_batch,
-    evaluate_soo,
     evaluate_soo_batch,
     make_instance,
     pareto_front_points,
@@ -107,17 +107,11 @@ CASES = {
     "soo-batch-ragged": lambda tmp: evaluate_soo_batch(SOO, RAGGED),
     "soo-batch-nan": lambda tmp: evaluate_soo_batch(SOO, NAN_POINTS),
     "soo-batch-inf": lambda tmp: evaluate_soo_batch(SOO, INF_POINTS),
-    "soo-text": lambda tmp: evaluate_soo(SOO, TEXT),
-    "soo-ragged": lambda tmp: evaluate_soo(SOO, RAGGED),
-    "soo-nan": lambda tmp: evaluate_soo(SOO, [np.nan, 0.0]),
     "moo-batch-text": lambda tmp: evaluate_moo_batch(MOO, TEXT),
     "moo-batch-ragged": lambda tmp: evaluate_moo_batch(MOO, RAGGED),
     "moo-batch-wide": lambda tmp: evaluate_moo_batch(MOO, WIDE),
     "moo-batch-nan": lambda tmp: evaluate_moo_batch(MOO, NAN_POINTS),
     "moo-batch-inf": lambda tmp: evaluate_moo_batch(MOO, INF_POINTS),
-    "moo-text": lambda tmp: evaluate_moo(MOO, TEXT),
-    "moo-ragged": lambda tmp: evaluate_moo(MOO, RAGGED),
-    "moo-inf": lambda tmp: evaluate_moo(MOO, [0.0, np.inf]),
     "nondominated-text": lambda tmp: nondominated_2d(TEXT),
     "nondominated-text-in-pairs": lambda tmp: nondominated_2d(TEXT_IN_PAIRS),
     "nondominated-ragged": lambda tmp: nondominated_2d(RAGGED),
@@ -236,6 +230,46 @@ def test_a_non_sequence_argument_is_named(call, name):
         call()
 
 
+def saved_container(tmp, edit):
+    """The path of MODEL saved under tmp, its JSON container changed by edit."""
+    path = tmp / "model.json"
+    save_model(MODEL, path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+WRONG_SIZE_PAYLOAD = base64.b64encode(np.zeros(3).tobytes()).decode("ascii")  # encoder.conv0.b holds two values
+
+# refusals no other case reaches, each with its class and message
+TYPED_REFUSALS = {
+    "forward-too-small-to-pool": (
+        lambda tmp: Model(ModelSpec(variant="combined", input_resolution=64, output_count=2), seed=0).forward_batch(
+            [np.zeros((1, 5, 4, 4))], [2.0]),
+        ContractError, "too small to pool"),
+    "dense-input-width": (lambda tmp: dense_forward(np.zeros((1, 3)), np.zeros((2, 4)), np.zeros(2)),
+                          ContractError, "dense input width 3 != weight width 4"),
+    "transform-unknown-kind": (lambda tmp: transform_targets("x", [1.0]), ContractError, "unknown target transform"),
+    "train-empty-dataset": (lambda tmp: train(MODEL, TWO.subset([]), TrainConfig(epochs=1)),
+                            ContractError, "empty training dataset"),
+    "load-model-payload-size": (
+        lambda tmp: load_model(saved_container(tmp, lambda c: c["params"][1].update(data=WRONG_SIZE_PAYLOAD))),
+        DataError, "encoder.conv0.b has wrong payload size"),
+    "load-model-empty-encoder": (
+        lambda tmp: load_model(saved_container(tmp, lambda c: c["spec"].update(encoder_channels=[]))),
+        ParseError, "encoder_channels"),
+    "problem-id-kind": (lambda tmp: ProblemId(kind="x", function_code="sphere", dimension=2, instance_index=0),
+                        InvalidProblemError, "unknown kind 'x'"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", TYPED_REFUSALS.values(), ids=TYPED_REFUSALS.keys())
+def test_refusal_has_its_class_and_message(call, error, message, tmp_path):
+    with pytest.raises(error, match=message):
+        call(tmp_path)
+
+
 def test_a_wrong_type_is_named_with_its_module():
     """numpy 2 names its bool scalar type `bool` too."""
     with pytest.raises(ContractError, match=r"success must be a bool, got numpy\.bool_?$"):
@@ -278,9 +312,8 @@ def test_a_refused_emit_leaves_the_file_unchanged(emit, record, bad, tmp_path):
 
 @pytest.mark.parametrize("call", [
     lambda inst: evaluate_soo_batch(inst, [[0.0, 0.0]]),
-    lambda inst: evaluate_soo(inst, [0.0, 0.0]),
     lambda inst: probe_grid(inst, (0, 1), 4),
-], ids=["soo-batch", "soo", "probe-grid"])
+], ids=["soo-batch", "probe-grid"])
 @pytest.mark.parametrize("inst", [None, "sphere", MOO], ids=["none", "text", "moo-instance"])
 def test_soo_entry_points_need_a_soo_instance(call, inst):
     with pytest.raises(ContractError, match="soo ProblemInstance"):
@@ -289,11 +322,10 @@ def test_soo_entry_points_need_a_soo_instance(call, inst):
 
 @pytest.mark.parametrize("call", [
     lambda inst: evaluate_moo_batch(inst, [[0.0, 0.0]]),
-    lambda inst: evaluate_moo(inst, [0.0, 0.0]),
     lambda inst: pareto_front_points(inst),
     lambda inst: probe_grid_moo(inst, 4),
     lambda inst: build_moo_stacks(inst, np.random.default_rng(0), r_probe=4, r_out=4),
-], ids=["moo-batch", "moo", "pareto-front", "probe-grid-moo", "moo-stacks"])
+], ids=["moo-batch", "pareto-front", "probe-grid-moo", "moo-stacks"])
 @pytest.mark.parametrize("inst", [None, "zdt1", SOO], ids=["none", "text", "soo-instance"])
 def test_moo_entry_points_need_a_moo_instance(call, inst):
     with pytest.raises(ContractError, match="moo ProblemInstance"):

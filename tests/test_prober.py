@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -68,10 +69,7 @@ def normalize_oracle(field):
 
 
 def quantize_levels_oracle(field, levels):
-    vals = np.asarray(field, dtype=float)
-    if levels == 0:
-        return vals
-    v = np.minimum(vals, 1.0 - 1e-12)
+    v = np.minimum(np.asarray(field, dtype=float), 1.0 - 1e-12)
     return (np.floor(v * levels) + 0.5) / levels
 
 
@@ -256,10 +254,9 @@ class TestQuantize:
         f = quantize_levels([[0.3, 0.9]], 2)
         np.testing.assert_allclose(f, [[0.25, 0.75]])
 
-    def test_zero_levels_identity(self):
-        raw = [[0.12, 0.98]]
-        f = quantize_levels(raw, 0)
-        np.testing.assert_array_equal(f, raw)
+    def test_zero_levels_rejected(self):
+        with pytest.raises(ContractError, match="levels must be an integer >= 1"):
+            quantize_levels([[0.12, 0.98]], 0)
 
     def test_values_outside_unit_interval_rejected(self):
         for vals in ([[5.0, 0.5]], [[-3.0, 0.5]], [[np.nan, 0.5]]):
@@ -311,7 +308,7 @@ _FINITE = st.one_of(st.floats(-1e308, 1e308, allow_nan=False), st.sampled_from([
 _SQUARE_FIELDS = st.integers(1, 8).flatmap(lambda n: arrays(np.float64, (n, n), elements=_FINITE))
 
 
-@given(_SQUARE_FIELDS, st.integers(0, 40), st.integers(2, 12))
+@given(_SQUARE_FIELDS, st.integers(1, 40), st.integers(2, 12))
 def test_views_stay_in_unit_interval(raw, levels, r_out):
     """normalize spans [0, 1] exactly (a constant field is all 0.5), and
     quantizing and resizing the result keep it inside [0, 1]."""
@@ -328,7 +325,7 @@ def test_views_stay_in_unit_interval(raw, levels, r_out):
 _CONSTANT_FIELDS = st.builds(np.full, st.sampled_from([(1, 1), (2, 2), (5, 5)]), _FINITE)
 
 
-@given(st.one_of(_SQUARE_FIELDS, _CONSTANT_FIELDS), st.integers(0, 40), st.integers(2, 12))
+@given(st.one_of(_SQUARE_FIELDS, _CONSTANT_FIELDS), st.integers(1, 40), st.integers(2, 12))
 @example(np.array([[-1e308, 0.0], [1.0, 1e308]]), 4, 3)  # the range overflows
 @example(np.full((3, 3), -2.5), 16, 5)
 def test_finishing_steps_byte_equal_to_out_of_place_oracles(raw, levels, r_out):
@@ -395,7 +392,7 @@ class TestStacks:
     def test_soo_budget_and_range(self):
         stack = build_soo_stack(
             "rastrigin", 3, instance_seeds=[1, 2, 3, 4, 5], slice_seed=7,
-            r_probe=50, r_out=16, levels=8,
+            r_probe=50, r_out=16,
         )
         assert stack.evaluations_spent == 5 * 50 * 50
         arr = stack.as_array()
@@ -439,9 +436,9 @@ class TestStacks:
         large = build_soo_stack("sphere", 2, r_out=32, **common)
         assert small.evaluations_spent == large.evaluations_spent == 5 * 40 * 40
 
-    @pytest.mark.parametrize("bad", [dict(r_out=2.5), dict(r_probe=2.5), dict(levels=2.5), dict(r_out="16")])
+    @pytest.mark.parametrize("bad", [dict(r_out=2.5), dict(r_probe=2.5), dict(r_out="16")])
     def test_non_integer_resolution_or_levels_rejected(self, bad):
-        kwargs = dict(instance_seeds=[1, 2, 3, 4, 5], slice_seed=0, r_probe=10, r_out=4, levels=4) | bad
+        kwargs = dict(instance_seeds=[1, 2, 3, 4, 5], slice_seed=0, r_probe=10, r_out=4) | bad
         with pytest.raises(ContractError, match="integer"):
             build_soo_stack("sphere", 2, **kwargs)
         pid = ProblemId(kind="moo", function_code="zdt1", dimension=2, instance_index=0)
@@ -515,6 +512,17 @@ class TestStacks:
         assert s1.source == s2.source
         assert len(s1.views) == len(s2.views) == 5
         assert s1.evaluations_spent == s2.evaluations_spent == 5 * 30 * 30
+
+    def test_moo_stacks_share_no_source_object(self):
+        """Provenance written into one stack's source stays out of the other's."""
+        s1, s2 = build_moo_stacks(moo_instance("bi_sphere"), np.random.default_rng(0), r_probe=8, r_out=4)
+        assert s1.source == s2.source and s1.source is not s2.source
+        before = copy.deepcopy(s2.source)
+        for entry in s1.source:
+            entry["raw_range"] = [0.0, 1.0]
+            entry["window"]["lo"][0] = 99.0
+            entry["window"]["side"].append(1.0)
+        assert s2.source == before
 
     def test_moo_repetitions_distinct(self):
         pid = ProblemId(kind="moo", function_code="zdt3", dimension=2, instance_index=0)

@@ -1,10 +1,11 @@
 """Rules the package's source keeps, read from its syntax tree: every raise
 names a toolkit error class, only the standard library and numpy are
-imported, and files are opened and argument types refused only through
-errors.py's helpers; and from the imported modules: no module holds a
-writable array."""
+imported, files are opened and argument types refused only through
+errors.py's helpers, and every config field is read somewhere; and from
+the imported modules: no module holds a writable array."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 import sys
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 
 from contoursel.errors import ContourselError
+from contoursel.neural import ModelSpec, TrainConfig
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "contoursel"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "contoursel"
 MODULES = sorted(PACKAGE.glob("*.py"))
 HELPED = [p for p in MODULES if p.stem != "errors"]  # errors.py holds the helpers
 
@@ -88,3 +91,19 @@ def test_argument_types_are_refused_only_through_require_type(path):
     bad = [f"{path.name}:{node.lineno}: {ast.unparse(node.test)}"
            for node in ast.walk(tree(path)) if _is_type_refusal(node)]
     assert not bad, "\n".join(bad)
+
+
+def test_every_config_field_is_read():
+    """A field that no code outside its own class reads is a setting with no
+    effect: each one must appear as an attribute read in the package or in
+    the benchmark's modules."""
+    read = {cls: set() for cls in (ModelSpec, TrainConfig)}
+    for path in MODULES + sorted((ROOT / "perfbench").glob("*.py")):
+        module = tree(path)
+        for cls, names in read.items():
+            own = {id(node) for c in ast.walk(module) if isinstance(c, ast.ClassDef) and c.name == cls.__name__
+                   for node in ast.walk(c)}
+            names |= {node.attr for node in ast.walk(module) if isinstance(node, ast.Attribute) and id(node) not in own}
+    unread = [f"{cls.__name__}.{f.name}" for cls, names in read.items() for f in dataclasses.fields(cls)
+              if f.name not in names]
+    assert not unread, f"config fields nothing reads: {unread}"

@@ -8,9 +8,7 @@ from contoursel.suite import (
     SOO_DIMENSIONS,
     SOO_FUNCTIONS,
     ProblemId,
-    evaluate_moo,
     evaluate_moo_batch,
-    evaluate_soo,
     evaluate_soo_batch,
     make_instance,
     pareto_front_points,
@@ -152,7 +150,7 @@ def test_optimum_value_at_x_opt():
     for code in SOO_FUNCTIONS:
         for d in (2, 3, 5, 10):
             inst = make_instance(soo_id(code, d), 99)
-            assert evaluate_soo(inst, inst.x_opt) == pytest.approx(inst.f_opt, abs=1e-12)
+            assert evaluate_soo_batch(inst, inst.x_opt[None])[0] == pytest.approx(inst.f_opt, abs=1e-12)
 
 
 def test_shift_sampling_range():
@@ -171,7 +169,7 @@ def test_sphere_hand_value():
     # force zero shift to check the raw formula
     inst.x_opt[:] = 0.0
     object.__setattr__(inst, "f_opt", 0.0)
-    assert evaluate_soo(inst, np.array([3.0, 4.0])) == 25.0
+    assert evaluate_soo_batch(inst, [[3.0, 4.0]])[0] == 25.0
 
 
 def test_rosenbrock_hand_value():
@@ -179,9 +177,9 @@ def test_rosenbrock_hand_value():
     inst.x_opt[:] = 0.0
     object.__setattr__(inst, "f_opt", 0.0)
     # z = x - x_opt + 1 = (1, 1) at the origin, so the valley bottom sits there
-    assert evaluate_soo(inst, np.array([0.0, 0.0])) == 0.0
+    assert evaluate_soo_batch(inst, [[0.0, 0.0]])[0] == 0.0
     # hand evaluation at x = (1, 0): z = (2, 1) -> 100*(4-1)^2 + (2-1)^2 = 901
-    assert evaluate_soo(inst, np.array([1.0, 0.0])) == pytest.approx(901.0)
+    assert evaluate_soo_batch(inst, [[1.0, 0.0]])[0] == pytest.approx(901.0)
 
 
 def test_shift_covariance():
@@ -216,7 +214,8 @@ def test_memory_layout_and_block_boundaries_change_no_bit(code, d):
     for n in (0, 1, block - 1, block + 1):
         np.testing.assert_array_equal(evaluate_soo_batch(inst, xs[:n]), whole[:n])
         np.testing.assert_array_equal(evaluate_soo_batch(inst, xs[n:]), whole[n:])
-    assert [evaluate_soo(inst, x) for x in xs[block - 2 : block + 2]] == whole[block - 2 : block + 2].tolist()
+    singles = [evaluate_soo_batch(inst, xs[i : i + 1]) for i in range(block - 2, block + 2)]
+    np.testing.assert_array_equal(np.concatenate(singles), whole[block - 2 : block + 2])
 
 
 @pytest.mark.parametrize("code", MOO_FUNCTIONS)
@@ -239,7 +238,8 @@ def test_moo_memory_layout_and_block_boundaries_change_no_bit(code):
     for n in (0, 1, block - 1, block + 1):
         assert_same_bits(evaluate_moo_batch(inst, xs[:n]), whole[:n])
         assert_same_bits(evaluate_moo_batch(inst, xs[n:]), whole[n:])
-    assert [evaluate_moo(inst, x) for x in xs[block - 2 : block + 2]] == list(map(tuple, whole[block - 2 : block + 2].tolist()))
+    singles = [evaluate_moo_batch(inst, xs[i : i + 1]) for i in range(block - 2, block + 2)]
+    assert_same_bits(np.concatenate(singles), whole[block - 2 : block + 2])
 
 
 @pytest.mark.parametrize("code", MOO_FUNCTIONS)
@@ -258,8 +258,6 @@ def test_zdt_points_outside_the_domain_rejected(code, point):
     for bad in (xs, [point]):
         with pytest.raises(DataError, match=r"domain \[-5.0, 5.0\]\^2"):
             evaluate_moo_batch(inst, bad)
-    with pytest.raises(DataError, match="domain"):
-        evaluate_moo(inst, np.array(point))
 
 
 def test_bi_sphere_is_defined_outside_the_domain():
@@ -289,14 +287,14 @@ def test_batch_matches_scalar():
     inst = make_instance(soo_id("ackley", 5), 3)
     xs = np.random.default_rng(0).uniform(-5, 5, size=(10, 5))
     batch = evaluate_soo_batch(inst, xs)
-    singles = [evaluate_soo(inst, x) for x in xs]
+    singles = [evaluate_soo_batch(inst, xs[i : i + 1])[0] for i in range(len(xs))]
     np.testing.assert_allclose(batch, singles)
 
 
 def test_dimension_mismatch_raises():
     inst = make_instance(soo_id(), 0)
     with pytest.raises(ContractError):
-        evaluate_soo(inst, np.zeros(3))
+        evaluate_soo_batch(inst, np.zeros((1, 3)))
     with pytest.raises(ContractError):
         evaluate_soo_batch(inst, np.zeros((4, 5)))
 
@@ -321,15 +319,15 @@ def test_invalid_problem_combinations():
 def test_zdt1_endpoints():
     inst = make_instance(moo_id("zdt1"), 0)
     # native (-5, -5) maps to unit (0, 0): g = 1, f = (0, 1)
-    assert evaluate_moo(inst, np.array([-5.0, -5.0])) == pytest.approx((0.0, 1.0))
+    assert tuple(evaluate_moo_batch(inst, [[-5.0, -5.0]])[0]) == pytest.approx((0.0, 1.0))
     # native (5, -5) maps to unit (1, 0): the other Pareto endpoint
-    assert evaluate_moo(inst, np.array([5.0, -5.0])) == pytest.approx((1.0, 0.0))
+    assert tuple(evaluate_moo_batch(inst, [[5.0, -5.0]])[0]) == pytest.approx((1.0, 0.0))
 
 
 def test_bi_sphere_at_center():
     inst = make_instance(moo_id("bi_sphere"), 4)
     a, b = inst.centers
-    f1, f2 = evaluate_moo(inst, a)
+    f1, f2 = evaluate_moo_batch(inst, a[None])[0]
     assert f1 == pytest.approx(0.0, abs=1e-12)
     assert f2 == pytest.approx(float(np.sum((a - b) ** 2)))
 
