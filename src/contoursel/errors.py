@@ -7,9 +7,11 @@ ContractError; data that is unusable as numbers is a DataError.  The checks
 below raise them: require_integer, require_type and seeded_rng a
 ContractError naming the argument, float_array a DataError for input numpy
 cannot convert, finite_array also for NaN or inf.  is_integer and is_real
-only answer True or False.  opened opens every file the toolkit reads or
-writes: an OSError becomes a ContractError naming the path, text that is
-not UTF-8 a ParseError.
+only answer True or False.  A count an entry point takes (a dimension, a
+resolution, a width, a level count) is at most COUNT_MAX, so a count that
+no C long, float or array dimension holds is refused by name.  opened
+opens every file the toolkit reads or writes: an OSError becomes a
+ContractError naming the path, text that is not UTF-8 a ParseError.
 """
 
 import contextlib
@@ -17,6 +19,11 @@ import math
 import numbers
 
 import numpy as np
+
+
+# the largest C int: every count up to it converts exactly to a C long, a
+# float64 and a numpy array dimension
+COUNT_MAX = 2**31 - 1
 
 
 class ContourselError(Exception):
@@ -61,12 +68,12 @@ def is_real(value) -> bool:
     return real and -math.inf < value < math.inf
 
 
-def require_integer(name: str, value, minimum: int | None = None) -> None:
+def require_integer(name: str, value, minimum: int | None = None, maximum: int | None = None) -> None:
     """Raise ContractError unless value is an integer, of at least minimum
-    when one is given."""
-    if not is_integer(value, minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ContractError(f"{name} must be an integer{bound}, got {value!r}")
+    and at most maximum when they are given."""
+    if not is_integer(value, minimum) or maximum is not None and value > maximum:
+        bounds = " and ".join(f"{op} {limit}" for op, limit in ((">=", minimum), ("<=", maximum)) if limit is not None)
+        raise ContractError(f"{name} must be an integer{' ' + bounds if bounds else ''}, got {value!r}")
 
 
 def require_type(name: str, value, kind) -> None:

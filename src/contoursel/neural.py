@@ -15,9 +15,13 @@ without any framework dependency.
 Two model variants exist: "combined" consumes the views of a stack as the
 input channels of one image, "separate" turns each view into a 1-channel
 image.  A bi-objective model takes two stacks (slots) of one shape per
-sample.  Either way all images of a batch pass through one shared encoder
-in a single call, and the embeddings are concatenated in slot order and
-then view order before the regression head.
+sample.  Either way all images of a batch share one encoder, which runs
+depth first: each chunk of at most ENCODER_CHUNK_BYTES of conv0 output
+goes through every conv block and the global average pool before the next
+chunk starts, so a pass holds one chunk's full-resolution feature maps,
+however large the batch.  The embeddings are concatenated in slot order
+and then view order, and the regression head runs once on the whole
+batch.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import (
-    ContractError, DataError, ParseError, TrainingError, finite_array, float_array, is_integer, is_real, opened,
-    require_integer, require_type, seeded_rng,
+    COUNT_MAX, ContractError, DataError, ParseError, TrainingError, finite_array, float_array, is_integer, is_real,
+    opened, require_integer, require_type, seeded_rng,
 )
 
 MODEL_FORMAT = "contoursel.model"
@@ -252,6 +256,16 @@ def _add_grads(params, dx, dw, db):
     return dx
 
 
+def _images(slots, rows):
+    """The images at rows, a slice of the batch's images in sample, slot,
+    view order, as one channel-last (m, r, r, channels) array; copies only
+    the samples they come from."""
+    per_sample = len(slots) * slots[0].shape[1]
+    first, last = rows.start // per_sample, -(-rows.stop // per_sample)
+    images = np.stack([x[first:last] for x in slots], axis=1).reshape(-1, *slots[0].shape[2:])
+    return images[rows.start - first * per_sample : rows.stop - first * per_sample]
+
+
 def _entry(mapping, key, kind):
     """mapping[key]; ContractError naming the key unless mapping is a dict holding a kind there."""
     require_type(f"the container of {key!r}", mapping, dict)
@@ -282,12 +296,12 @@ class ModelSpec:
     def __post_init__(self):
         for name in ("input_resolution", "output_count", "view_count", "stack_count"):
             value = getattr(self, name)
-            require_integer(name, value, 1)
+            require_integer(name, value, 1, COUNT_MAX)
             object.__setattr__(self, name, int(value))
         for name in ("encoder_channels", "head_widths"):
             widths = getattr(self, name)
-            if not isinstance(widths, (tuple, list)) or not all(is_integer(v, 1) for v in widths):
-                raise ContractError(f"{name} must be a sequence of integers >= 1, got {widths!r}")
+            if not isinstance(widths, (tuple, list)) or not all(is_integer(v, 1) and v <= COUNT_MAX for v in widths):
+                raise ContractError(f"{name} must be a sequence of integers >= 1 and <= {COUNT_MAX}, got {widths!r}")
             object.__setattr__(self, name, tuple(int(v) for v in widths))
         if self.variant not in ("combined", "separate"):
             raise ContractError(f"unknown variant {self.variant!r}")
@@ -343,14 +357,33 @@ class TrainConfig:
         require_integer("seed", self.seed)
 
 
+# The encoder runs every conv block on one chunk of images at a time: as
+# many images as fit in this many bytes of conv0 output, and never fewer
+# than one.  Swept on the 2-vCPU Xeon of the ROADMAP baseline with 1 BLAS
+# thread, default `separate` spec at 64 px.  A batch-8 training step took
+# 198-208 ms at 1 MiB, 182-189 ms at 2 MiB, 180-184 ms at 4 MiB and
+# 188-190 ms with the whole batch in one chunk (medians of 25 steps,
+# budgets interleaved in one process).  A `separate_train` benchmark round
+# took 0-5 minor page faults (ru_minflt) at 1 and 2 MiB, as with the whole
+# batch, but 23.9k at 4 MiB: glibc's dynamic mmap and trim thresholds hand
+# chunk arrays of that size back to the kernel on every free, and with both
+# thresholds pinned for the process the faults were gone.  2 MiB is the
+# fastest budget that does not fault.
+ENCODER_CHUNK_BYTES = 2 * 2**20
+
+
 class Model:
     """One shared encoder + regression head predicting per-solver performance.
 
     The encoder runs conv blocks (conv-maxpool-relu), then global average
     pooling; max pooling and ReLU commute, outputs and gradients included,
     so pooling first gives the same model and runs the ReLU on a quarter of
-    the values.  The embedding width is independent of the input resolution,
-    so one head serves every probe/input resolution.  The head runs
+    the values.  It runs over one chunk of a batch's images at a time (see
+    ENCODER_CHUNK_BYTES), writing each chunk's rows of one embedding array;
+    the backward pass runs the head once, then the encoder chunk by chunk,
+    and the weight gradients add up the chunks' sums.  The embedding width
+    is independent of the input resolution, so one head serves every
+    probe/input resolution.  The head runs
     dense-relu layers, then a linear output layer."""
 
     def __init__(self, spec: ModelSpec, seed: int):
@@ -382,12 +415,12 @@ class Model:
         dimension of each sample in a 1-D array; returns (predictions, None).
 
         stacks holds stack_count view-first arrays of one shape (N, k, r, r),
-        one per slot, in a list or tuple.  They are copied once
-        into channel-last images, one k-channel image per slot ("combined")
-        or one 1-channel image per view ("separate"), and the encoder runs
-        once over the whole batch.  Its embeddings reach the head in slot
-        order and then view order, so two slots of k views embed exactly as
-        one slot of 2k views.  No layer keeps a backward cache.
+        one per slot, in a list or tuple.  Each sample gives channel-last
+        images, one k-channel image per slot ("combined") or one 1-channel
+        image per view ("separate"); the encoder copies them in one chunk at
+        a time.  Its embeddings reach the head in slot order and then view
+        order, so two slots of k views embed exactly as one slot of 2k
+        views.  No layer keeps a backward cache.
         """
         return self._forward(stacks, dims, need_cache=False)
 
@@ -397,18 +430,26 @@ class Model:
         spec = self.spec
         stacks, dims = _samples(stacks, dims)
         self._require_layout(stacks)
-        views = [x[..., None] if spec.variant == "separate" else x.transpose(0, 2, 3, 1) for x in stacks]
-        # np.stack makes the one copy; x is rebound to each layer's output,
-        # so the copy is freed once the first convolution has returned
-        x = np.stack(views, axis=1).reshape(-1, *views[0].shape[-3:])
-        blocks = []
-        for w, b in self.convs:
-            x, conv = conv2d_forward(x, w.value, b.value, need_cache=need_cache)
-            x, pool = maxpool2x2_forward(x, need_cache=need_cache)
-            x, relu = relu_forward(x, need_cache=need_cache)
-            blocks.append((conv, pool, relu))
-        x, gap = global_avg_pool_forward(x, need_cache=need_cache)
-        x = np.concatenate([x.reshape(len(dims), spec.embedding_width), dims[:, None] * DIMENSION_SCALE], axis=1)
+        # each slot as a (n, images per sample, r, r, channels) view
+        slots = [x[..., None] if spec.variant == "separate" else x.transpose(0, 2, 3, 1)[:, None] for x in stacks]
+        r = slots[0].shape[2]
+        n = len(dims) * len(slots) * slots[0].shape[1]
+        # one image's conv0 output is r * r * C0 float64 values
+        step = max(1, ENCODER_CHUNK_BYTES // (8 * r * r * spec.encoder_channels[0]))
+        embedding = np.empty((n, spec.encoder_channels[-1]))
+        chunks = []
+        for start in range(0, n, step):
+            rows = slice(start, min(start + step, n))
+            x, blocks = _images(slots, rows), []
+            for w, b in self.convs:
+                x, conv = conv2d_forward(x, w.value, b.value, need_cache=need_cache)
+                x, pool = maxpool2x2_forward(x, need_cache=need_cache)
+                x, relu = relu_forward(x, need_cache=need_cache)
+                blocks.append((conv, pool, relu))
+            embedding[rows], gap = global_avg_pool_forward(x, need_cache=need_cache)
+            chunks.append((rows, blocks, gap))
+        x = embedding.reshape(len(dims), spec.embedding_width)
+        x = np.concatenate([x, dims[:, None] * DIMENSION_SCALE], axis=1)
         hidden = []
         for w, b in self.denses[:-1]:
             x, dense = dense_forward(x, w.value, b.value, need_cache=need_cache)
@@ -416,24 +457,28 @@ class Model:
             hidden.append((dense, relu))
         w, b = self.denses[-1]
         y, out = dense_forward(x, w.value, b.value, need_cache=need_cache)
-        return y, (blocks, gap, hidden, out) if need_cache else None
+        return y, (chunks, hidden, out) if need_cache else None
 
     def backward_batch(self, gpred, cache):
         """Accumulate parameter gradients; augments .grad on every Param.
-        One statement per step frees each gradient once the next has read it."""
-        blocks, gap, hidden, out = cache
+        The head runs backward once, then the encoder once per chunk of the
+        forward pass.  One statement per step frees each gradient once the
+        next has read it."""
+        chunks, hidden, out = cache
         g = _add_grads(self.denses[-1], *dense_backward(gpred, out))
         for params, (dense, relu) in zip(reversed(self.denses[:-1]), reversed(hidden)):
             g = relu_backward(g, relu)
             g = _add_grads(params, *dense_backward(g, dense))
         # the last column, the dimension feature, carries no parameters
-        g = global_avg_pool_backward(g[:, :-1].reshape(-1, self.spec.encoder_channels[-1]), gap)
-        for i in reversed(range(len(self.convs))):
-            conv, pool, relu = blocks[i]
-            g = relu_backward(g, relu)
-            g = maxpool2x2_backward(g, pool)
-            # the first layer's input is the data: its gradient is never used
-            g = _add_grads(self.convs[i], *conv2d_backward(g, conv, need_dx=i > 0))
+        g = g[:, :-1].reshape(-1, self.spec.encoder_channels[-1])
+        for rows, blocks, gap in chunks:
+            x = global_avg_pool_backward(g[rows], gap)
+            for i in reversed(range(len(self.convs))):
+                conv, pool, relu = blocks[i]
+                x = relu_backward(x, relu)
+                x = maxpool2x2_backward(x, pool)
+                # the first layer's input is the data: its gradient is never used
+                x = _add_grads(self.convs[i], *conv2d_backward(x, conv, need_dx=i > 0))
 
     def loss_and_grads(self, stacks, dims, targets):
         """Mean squared error of one batch; the gradients land in .grad.

@@ -250,7 +250,13 @@ def hypervolume_2d(points, ref) -> float:
         return 0.0
     order, kept = _sorted_front(pts)
     front = pts[order[kept]]
-    areas = np.diff(front[:, 0], append=ref[0]) * (ref[1] - front[:, 1])
+    f1 = front[:, 0]
+    # the gaps to the next point's f1, the last to the reference; one
+    # subtraction into a preallocated array is faster than np.diff(append=)
+    widths = np.empty(len(f1))
+    np.subtract(f1[1:], f1[:-1], out=widths[:-1])
+    widths[-1] = ref[0] - f1[-1]
+    areas = widths * (ref[1] - front[:, 1])
     # cumsum adds strictly left to right, unlike the pairwise np.sum, so the
     # value does not depend on how numpy blocks the reduction
     return float(np.cumsum(areas)[-1])

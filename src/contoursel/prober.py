@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ContractError, DataError, finite_array, float_array, is_integer, is_real, opened, require_integer, require_type,
-    seeded_rng,
+    COUNT_MAX, ContractError, DataError, finite_array, float_array, is_integer, is_real, opened, require_integer,
+    require_type, seeded_rng,
 )
 from .suite import (
     DOMAIN_HI,
@@ -74,7 +74,7 @@ class ContourStack:
 def plan_slice(d: int, rng: np.random.Generator) -> tuple[int, int]:
     """Choose the 2-D cross-section: an ascending (i, j) pair of coordinates,
     uniform over unordered pairs; (0, 1) when d == 2."""
-    require_integer("slice dimension", d, 2)
+    require_integer("slice dimension", d, 2, COUNT_MAX)
     require_type("rng", rng, np.random.Generator)
     if d == 2:
         return (0, 1)
@@ -85,7 +85,7 @@ def plan_slice(d: int, rng: np.random.Generator) -> tuple[int, int]:
 def _grid_points(inst: ProblemInstance, axes: tuple[int, int], r: int, window: Window):
     """(r*r, d) evaluation points for the grid, the second slice coordinate
     as the slow (row) index; column-major, so each coordinate is contiguous."""
-    require_integer("grid resolution", r, 2)
+    require_integer("grid resolution", r, 2, COUNT_MAX)
     d = inst.dimension
     if not (
         isinstance(axes, tuple) and len(axes) == 2
@@ -145,7 +145,7 @@ def normalize(field) -> np.ndarray:
 def quantize_levels(field, levels: int) -> np.ndarray:
     """Snap a normalized field onto L >= 1 level bands (filled-contour
     emulation) in a new array: each value maps to the midpoint of its band."""
-    require_integer("levels", levels, 1)
+    require_integer("levels", levels, 1, COUNT_MAX)
     vals = float_array(field, "a field")
     if vals.size == 0:
         raise ContractError(f"quantize_levels expects a nonempty field, got shape {vals.shape}")
@@ -161,7 +161,7 @@ def quantize_levels(field, levels: int) -> np.ndarray:
 def resize_bilinear(field, r_out: int) -> np.ndarray:
     """Endpoint-aligned bilinear resample of a square finite field to
     r_out x r_out (corners exact)."""
-    require_integer("output resolution", r_out, 2)
+    require_integer("output resolution", r_out, 2, COUNT_MAX)
     vals = finite_array(field, "a field")
     if vals.ndim != 2 or not 0 < vals.shape[0] == vals.shape[1]:
         raise ContractError(f"resize_bilinear expects a square 2-D field, got shape {vals.shape}")
@@ -211,7 +211,7 @@ def build_soo_stack(
     seeds = list(instance_seeds) if np.iterable(instance_seeds) else []
     if len(seeds) != VIEWS_PER_STACK or not all(is_integer(s) for s in seeds):
         raise ContractError(f"instance_seeds must be {VIEWS_PER_STACK} integers, got {instance_seeds!r}")
-    require_integer("r_out", r_out, 2)
+    require_integer("r_out", r_out, 2, COUNT_MAX)
     spent = 0
     views = np.empty((VIEWS_PER_STACK, r_out, r_out))
     source = []
@@ -247,7 +247,7 @@ def build_moo_stacks(
     SOO stack does.
     """
     require_instance(inst, "moo", "build_moo_stacks")
-    require_integer("r_out", r_out, 2)
+    require_integer("r_out", r_out, 2, COUNT_MAX)
     spent = [0, 0]
     views = np.empty((2, VIEWS_PER_STACK, r_out, r_out))
     windows = [sample_window(lam, rng) for _ in range(VIEWS_PER_STACK)]

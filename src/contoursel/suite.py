@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ContractError, DataError, InvalidProblemError, finite_array, is_integer, require_integer, require_type, seeded_rng,
+    COUNT_MAX, ContractError, DataError, InvalidProblemError, finite_array, is_integer, require_integer, require_type,
+    seeded_rng,
 )
 from .perfdata import nondominated_2d
 
@@ -272,7 +273,7 @@ def pareto_front_points(inst: ProblemInstance, n: int = 2001) -> np.ndarray:
     segment between its two centers.
     """
     require_instance(inst, "moo", "pareto_front_points")
-    require_integer("pareto front sample count", n, 2)
+    require_integer("pareto front sample count", n, 2, COUNT_MAX)
     t = np.linspace(0.0, 1.0, n)
     code = inst.id.function_code
     if code == "bi_sphere":

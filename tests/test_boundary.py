@@ -33,6 +33,7 @@ from contoursel.perfdata import (
 from contoursel.prober import (
     Window,
     build_moo_stacks,
+    build_soo_stack,
     normalize,
     plan_slice,
     probe_grid,
@@ -88,6 +89,23 @@ FILE_CALLS = {
     "ingest-moo-hv": ingest_moo_hv,
     "emit-relert-table": lambda path: emit_relert_table(path, relert_matrix({("f", 2, "a"): 1.0})),
     "write-pgm": lambda path: write_pgm(np.zeros((2, 2)), path),
+}
+
+
+# counts that no C long, float or array dimension holds, each refused by the
+# name of its argument
+TOO_LARGE = {
+    "plan-slice-huge-dimension": (lambda: plan_slice(2**64, np.random.default_rng(0)), "slice dimension"),
+    "quantize-huge-levels": (lambda: quantize_levels(np.zeros((2, 2)), 10**400), "levels"),
+    "resize-huge-resolution": (lambda: resize_bilinear(np.zeros((2, 2)), 2**64), "output resolution"),
+    "soo-stack-huge-r-out": (lambda: build_soo_stack("sphere", 2, range(5), 0, r_probe=4, r_out=2**64), "r_out"),
+    "soo-stack-huge-r-probe": (lambda: build_soo_stack("sphere", 2, range(5), 0, r_probe=2**64, r_out=4),
+                               "grid resolution"),
+    "moo-stacks-huge-r-out": (lambda: build_moo_stacks(MOO, np.random.default_rng(0), r_probe=4, r_out=2**64),
+                              "r_out"),
+    "pareto-front-huge-count": (lambda: pareto_front_points(MOO, 2**64), "pareto front sample count"),
+    "model-spec-huge-output-count": (lambda: ModelSpec("combined", 16, 2**64), "output_count"),
+    "model-spec-huge-channels": (lambda: ModelSpec("combined", 16, 2, encoder_channels=(2**64,)), "encoder_channels"),
 }
 
 
@@ -187,6 +205,7 @@ CASES = {
     **{f"{name}-missing-directory": lambda tmp, call=call: call(tmp / "missing" / "file")
        for name, call in FILE_CALLS.items()},
     **{f"{name}-directory": lambda tmp, call=call: call(tmp) for name, call in FILE_CALLS.items()},
+    **{name: lambda tmp, call=call: call() for name, (call, _) in TOO_LARGE.items()},
 }
 
 
@@ -227,6 +246,12 @@ def test_bad_input_raises_a_toolkit_error(call, tmp_path):
         "dataset-tags-number"])
 def test_a_non_sequence_argument_is_named(call, name):
     with pytest.raises(ContourselError, match=name):
+        call()
+
+
+@pytest.mark.parametrize("call, name", TOO_LARGE.values(), ids=TOO_LARGE.keys())
+def test_a_count_too_large_for_a_machine_integer_is_named(call, name):
+    with pytest.raises(ContractError, match=f"^{name} must be "):
         call()
 
 

@@ -22,6 +22,7 @@ from contoursel.neural import (
     TrainConfig,
     conv2d_backward,
     conv2d_forward,
+    dense_backward,
     dense_forward,
     global_avg_pool_backward,
     global_avg_pool_forward,
@@ -29,6 +30,7 @@ from contoursel.neural import (
     maxpool2x2_backward,
     maxpool2x2_forward,
     mse_loss,
+    relu_backward,
     relu_forward,
     save_model,
     train,
@@ -298,22 +300,24 @@ class TestMaxPoolAgainstOracle:
 
     def test_separate_step_peak_memory(self):
         """One default-spec `separate` loss_and_grads step, batch 8, 64 px,
-        traced from its first allocation, peaks at 41.0 MiB; an 8 MiB patch
-        buffer takes it to 45.5 MiB, and a pool cache that pins its conv
-        output to 88.2 MiB."""
+        traced from its first allocation, peaks at 17.4 MiB: it keeps the
+        backward caches of all 40 images, but the full-resolution conv0
+        output and its gradient of one 2 MiB chunk at a time.  The encoder
+        run over the whole batch at once peaks at 41.0 MiB, and 4 MiB
+        chunks at 20.0 MiB."""
         model = Model(ModelSpec(variant="separate", input_resolution=64, output_count=3), seed=0)
         rng = np.random.default_rng(0)
         stacks, dims, targets = [rng.random((8, 5, 64, 64))], np.full(8, 2.0), rng.random((8, 3))
-        assert traced_peak(lambda: model.loss_and_grads(stacks, dims, targets)) <= 42 * 2**20
+        assert traced_peak(lambda: model.loss_and_grads(stacks, dims, targets)) <= 18.5 * 2**20
 
     def test_separate_prediction_peak_memory(self):
-        """The same batch through forward_batch peaks at 30.1 MiB; keeping
-        the backward caches, as a training forward does, takes it to
-        33.3 MiB."""
+        """The same batch through forward_batch peaks at 3.3 MiB, one
+        chunk's images and feature maps; the whole batch at once peaks at
+        30.1 MiB."""
         model = Model(ModelSpec(variant="separate", input_resolution=64, output_count=3), seed=0)
         rng = np.random.default_rng(0)
         stacks, dims = [rng.random((8, 5, 64, 64))], np.full(8, 2.0)
-        assert traced_peak(lambda: model.forward_batch(stacks, dims)) <= 31 * 2**20
+        assert traced_peak(lambda: model.forward_batch(stacks, dims)) <= 4.5 * 2**20
 
 
 class TestSmallLayers:
@@ -518,6 +522,123 @@ class TestModelShapes:
         (stack if where == "stack" else dims)[1, ...] = np.nan
         with pytest.raises(DataError, match="finite"):
             model.forward_batch([stack], dims)
+
+
+def whole_batch_oracle(model: Model, stacks, dims, targets):
+    """Predictions, loss and every parameter gradient (by name) from the
+    encoder's layer loop run over all images of the batch at once, as it
+    ran before the encoder was chunked; and for each conv parameter the sum
+    of the magnitudes of the terms its gradient adds up."""
+    spec = model.spec
+    views = [x[..., None] if spec.variant == "separate" else x.transpose(0, 2, 3, 1) for x in stacks]
+    x = np.stack(views, axis=1).reshape(-1, *views[0].shape[-3:])
+    blocks = []
+    for w, b in model.convs:
+        x, conv = conv2d_forward(x, w.value, b.value)
+        x, pool = maxpool2x2_forward(x)
+        x, relu = relu_forward(x)
+        blocks.append((conv, pool, relu))
+    x, gap = global_avg_pool_forward(x)
+    x = np.concatenate([x.reshape(len(dims), spec.embedding_width), dims[:, None] * neural.DIMENSION_SCALE], axis=1)
+    hidden = []
+    for w, b in model.denses[:-1]:
+        x, dense = dense_forward(x, w.value, b.value)
+        x, relu = relu_forward(x)
+        hidden.append((dense, relu))
+    w, b = model.denses[-1]
+    pred, out = dense_forward(x, w.value, b.value)
+    loss, g = mse_loss(pred, targets)
+    grads, scales = {}, {}
+
+    def add(params, dx, dw, db):
+        grads[params[0].name], grads[params[1].name] = dw, db
+        return dx
+
+    g = add(model.denses[-1], *dense_backward(g, out))
+    for params, (dense, relu) in zip(reversed(model.denses[:-1]), reversed(hidden)):
+        g = add(params, *dense_backward(relu_backward(g, relu), dense))
+    g = global_avg_pool_backward(g[:, :-1].reshape(-1, spec.encoder_channels[-1]), gap)
+    for params, (conv, pool, relu) in zip(reversed(model.convs), reversed(blocks)):
+        g = maxpool2x2_backward(relu_backward(g, relu), pool)
+        xp, xshape, w = conv
+        _, *magnitudes = conv2d_backward(np.abs(g), (np.abs(xp), xshape, w), need_dx=False)
+        scales.update(zip((p.name for p in params), magnitudes))
+        g = add(params, *conv2d_backward(g, conv))
+    return pred, loss, grads, scales
+
+
+def chunk_cases():
+    """(variant, stack_count, samples, resolution, chunk) with 32 conv0
+    channels; chunk None keeps the module's budget (8 images at 32 px, and
+    one image alone exceeds it at 96 px), a number sets the budget to that
+    many images."""
+    for variant in ("combined", "separate"):
+        for slots in (1, 2):
+            per_sample = slots * (5 if variant == "separate" else 1)
+            name = f"{variant}-{slots}-slot"
+            yield pytest.param(variant, slots, 1, 32, None, id=f"{name}-one-sample")
+            for offset, label in ((1, "chunk-1"), (0, "chunk"), (-1, "chunk+1")):
+                yield pytest.param(variant, slots, 3, 32, 3 * per_sample + offset, id=f"{name}-{label}-images")
+            yield pytest.param(variant, slots, 2, 96, None, id=f"{name}-image-over-budget")
+    for samples, label in ((7, "chunk-1"), (8, "chunk"), (9, "chunk+1")):
+        yield pytest.param("combined", 1, samples, 32, None, id=f"module-budget-{label}-images")
+
+
+class TestChunkedEncoder:
+    @pytest.mark.parametrize("variant, stack_count, samples, resolution, chunk", chunk_cases())
+    def test_chunks_give_the_whole_batch_bits(self, monkeypatch, variant, stack_count, samples, resolution, chunk):
+        """Predictions, loss and head gradients are the bits of the
+        whole-batch oracle.  Only the conv weight and bias gradients, sums
+        over every pixel of every image, regroup by chunk: each agrees to
+        1e-13 of the magnitude of the terms it adds up."""
+        image_bytes = resolution**2 * 32 * 8
+        if chunk is not None:
+            monkeypatch.setattr(neural, "ENCODER_CHUNK_BYTES", chunk * image_bytes)
+        per_chunk = max(1, neural.ENCODER_CHUNK_BYTES // image_bytes)
+        spec = ModelSpec(variant=variant, input_resolution=resolution, output_count=3, stack_count=stack_count,
+                         encoder_channels=(32, 4), head_widths=(8,))
+        model = Model(spec, seed=samples)
+        rng = np.random.default_rng(resolution + samples)
+        stacks = [rng.random((samples, 5, resolution, resolution)) for _ in range(stack_count)]
+        dims = rng.integers(2, 11, size=samples).astype(float)
+        targets = rng.normal(size=(samples, 3))
+        want_pred, want_loss, want_grads, scales = whole_batch_oracle(model, stacks, dims, targets)
+        calls = {}
+        monkeypatch.setattr(neural, "conv2d_forward", counting(calls, "conv", neural.conv2d_forward))
+        pred, _ = model.forward_batch(stacks, dims)
+        images = samples * stack_count * (5 if variant == "separate" else 1)
+        assert calls["conv"] == 2 * -(-images // per_chunk)
+        assert pred.tobytes() == want_pred.tobytes()
+        assert model.loss_and_grads(stacks, dims, targets) == want_loss
+        for p in model.params():
+            if p.name in scales:
+                assert np.all(np.abs(p.grad - want_grads[p.name]) <= 1e-13 * scales[p.name]), p.name
+            else:
+                assert p.grad.tobytes() == want_grads[p.name].tobytes(), p.name
+
+    def test_two_slot_separate_peak_memory(self):
+        """A bi-objective `separate` model, 32 samples of two 5-view 64 px
+        slots (320 images): a loss_and_grads step peaks at 104.2 MiB and
+        forward_batch at 3.8 MiB, against 318.9 and 240.1 MiB with the
+        whole batch at once."""
+        model = Model(ModelSpec(variant="separate", input_resolution=64, output_count=3, stack_count=2), seed=0)
+        rng = np.random.default_rng(0)
+        stacks, dims, targets = [rng.random((32, 5, 64, 64)) for _ in range(2)], np.full(32, 2.0), rng.random((32, 3))
+        assert traced_peak(lambda: model.loss_and_grads(stacks, dims, targets)) <= 105.5 * 2**20
+        assert traced_peak(lambda: model.forward_batch(stacks, dims)) <= 5 * 2**20
+
+    @pytest.mark.parametrize("variant", ["combined", "separate"])
+    def test_prediction_peak_memory_is_flat_in_batch_size(self, variant):
+        """forward_batch builds each chunk's images from the samples they
+        come from, so 64 samples peak within one chunk's worth of 8
+        (`separate`: 3.5 and 3.3 MiB; `combined`: 4.7 and 4.7 MiB)."""
+        model = Model(ModelSpec(variant=variant, input_resolution=64, output_count=3), seed=0)
+        rng = np.random.default_rng(0)
+        peaks = []
+        for n in (8, 64):
+            stacks, dims = [rng.random((n, 5, 64, 64))], np.full(n, 2.0)
+            peaks.append(traced_peak(lambda: model.forward_batch(stacks, dims)))
+        assert abs(peaks[1] - peaks[0]) <= neural.ENCODER_CHUNK_BYTES
 
 
 def grad_check(model: Model, stacks, dims, targets, h: float = 1e-5) -> float:

@@ -305,6 +305,25 @@ class TestSbsVbs:
 _coordinate = st.integers(0, 4).map(float) | st.floats(0.0, 1.0)
 
 
+# finite floats of either sign over many magnitudes, small enough that no
+# difference or product of two of them overflows
+_wide = st.floats(-1e150, 1e150)
+
+
+def np_diff_hv(points, ref):
+    """hypervolume_2d as np.diff formed its strip widths: the O(n^2)
+    oracle's mask, the kept points in ascending f1, then
+    np.diff(f1, append=ref[0]) times the heights, summed left to right."""
+    pts = np.asarray(points, float).reshape(-1, 2)
+    pts = pts[(pts[:, 0] < ref[0]) & (pts[:, 1] < ref[1])]
+    if not len(pts):
+        return 0.0
+    front = pts[nondominated_mask_oracle(pts)]
+    front = front[np.argsort(front[:, 0], kind="stable")]
+    areas = np.diff(front[:, 0], append=ref[0]) * (ref[1] - front[:, 1])
+    return float(np.cumsum(areas)[-1])
+
+
 class TestHypervolume:
     def test_three_point_staircase(self):
         assert hypervolume_2d([(1, 3), (2, 2), (3, 1)], (4, 4)) == 6.0
@@ -362,15 +381,14 @@ class TestHypervolume:
         oracle's mask, then the kept points in ascending f1.  The oracle
         keeps every copy of a duplicate; a copy adds a zero-width strip, and
         x + 0.0 is x, so the sums agree to the bit."""
-        pts = np.asarray(points, float).reshape(-1, 2)
-        pts = pts[(pts[:, 0] < ref[0]) & (pts[:, 1] < ref[1])]
-        want = 0.0
-        if len(pts):
-            front = pts[nondominated_mask_oracle(pts)]
-            front = front[np.argsort(front[:, 0], kind="stable")]
-            areas = np.diff(front[:, 0], append=ref[0]) * (ref[1] - front[:, 1])
-            want = float(np.cumsum(areas)[-1])
-        assert same_bits(hypervolume_2d(points, ref), want)
+        assert same_bits(hypervolume_2d(points, ref), np_diff_hv(points, ref))
+
+    @given(st.lists(st.tuples(_wide, _wide), max_size=60), st.tuples(_wide, _wide))
+    def test_strip_widths_are_the_np_diff_bits(self, points, ref):
+        """Free floats across many magnitudes, so nearly every strip width
+        rounds: one subtraction into a preallocated array gives the bits
+        np.diff(f1, append=ref[0]) gave."""
+        assert same_bits(hypervolume_2d(points, ref), np_diff_hv(points, ref))
 
     @pytest.mark.parametrize("points, ref, message", [
         ([(0.5, 0.5)], (np.nan, 1.0), "reference point"),
