@@ -15,13 +15,14 @@ without any framework dependency.
 Two model variants exist: "combined" consumes the views of a stack as the
 input channels of one image, "separate" turns each view into a 1-channel
 image.  A bi-objective model takes two stacks (slots) of one shape per
-sample.  Either way all images of a batch share one encoder, which runs
-depth first: each chunk of at most ENCODER_CHUNK_BYTES of conv0 output
-goes through every conv block and the global average pool before the next
-chunk starts, so a pass holds one chunk's full-resolution feature maps,
-however large the batch.  The embeddings are concatenated in slot order
-and then view order, and the regression head runs once on the whole
-batch.
+sample.  Either way all images of a batch share one encoder, which reads
+them in place from their stacks and runs depth first: each chunk of one
+slot's images, at most ENCODER_CHUNK_BYTES of conv0 output, goes through
+every conv block and the global average pool before the next chunk starts,
+so a pass holds one chunk's feature maps however large the batch, and
+conv0's zero padding is the only copy of a chunk's images.  The
+embeddings are concatenated in slot order and then view order; the head
+runs once per batch.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ DIMENSION_SCALE = 0.1  # dimension feature is fed to the head as d/10
 # Of 0.5, 1, 2 and 8 MiB, 0.5 and 1 MiB were fastest there.  A chunk is
 # never smaller than one sample.
 PATCH_MATRIX_BYTES = 2**20
+
+
+def _require_array(name: str, x, ndim: int) -> None:
+    """ContractError naming the argument unless x is a numpy array of ndim axes."""
+    require_type(name, x, np.ndarray)
+    if x.ndim != ndim:
+        raise ContractError(f"{name} must have {ndim} axes, got shape {x.shape}")
 
 
 def _pad(x: np.ndarray) -> np.ndarray:
@@ -109,6 +117,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, *, need_cache: b
     need_cache=False returns it as None, so the padded input is freed on
     return.
     """
+    _require_array("x", x, 4)
     if x.shape[3] != w.shape[1]:
         raise ContractError(f"channel mismatch: input {x.shape[3]}, weights {w.shape[1]}")
     xp = _pad(x)
@@ -142,6 +151,7 @@ def conv2d_backward(g: np.ndarray, cache, *, need_dx: bool = True):
 def relu_forward(x, *, need_cache: bool = True):
     """max(x, 0) as x * (x > 0), so a negative input gives -0.0; the cache
     is the mask, or None with need_cache=False."""
+    require_type("x", x, np.ndarray)
     mask = x > 0
     return x * mask, mask if need_cache else None
 
@@ -164,6 +174,7 @@ def maxpool2x2_forward(x, *, need_cache: bool = True):
     the gradient to one input.  It holds no view of x, so the input is
     freed once it has been pooled.  need_cache=False computes no code and
     returns the cache as None."""
+    _require_array("x", x, 4)
     n, h, w, c = x.shape
     oh, ow = h // 2, w // 2
     if oh < 1 or ow < 1:
@@ -199,6 +210,7 @@ def maxpool2x2_backward(g, cache):
 
 
 def global_avg_pool_forward(x, *, need_cache: bool = True):
+    _require_array("x", x, 4)
     return x.mean(axis=(1, 2)), (x.shape,) if need_cache else None
 
 
@@ -210,6 +222,7 @@ def global_avg_pool_backward(g, cache):
 
 def dense_forward(x, w, b, *, need_cache: bool = True):
     """y = x W^T + b with w of shape (out, in)."""
+    _require_array("x", x, 2)
     if x.shape[1] != w.shape[1]:
         raise ContractError(f"dense input width {x.shape[1]} != weight width {w.shape[1]}")
     return x @ w.T + b, (x, w) if need_cache else None
@@ -221,7 +234,9 @@ def dense_backward(g, cache):
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):
-    """Mean squared error and its gradient w.r.t. pred."""
+    """Mean squared error of two arrays of one shape, and its gradient w.r.t. pred."""
+    require_type("pred", pred, np.ndarray)
+    require_type("target", target, np.ndarray)
     if pred.shape != target.shape:
         raise ContractError(f"prediction shape {pred.shape} != target shape {target.shape}")
     if pred.size == 0:
@@ -254,16 +269,6 @@ def _add_grads(params, dx, dw, db):
     w.grad += dw
     b.grad += db
     return dx
-
-
-def _images(slots, rows):
-    """The images at rows, a slice of the batch's images in sample, slot,
-    view order, as one channel-last (m, r, r, channels) array; copies only
-    the samples they come from."""
-    per_sample = len(slots) * slots[0].shape[1]
-    first, last = rows.start // per_sample, -(-rows.stop // per_sample)
-    images = np.stack([x[first:last] for x in slots], axis=1).reshape(-1, *slots[0].shape[2:])
-    return images[rows.start - first * per_sample : rows.stop - first * per_sample]
 
 
 def _entry(mapping, key, kind):
@@ -378,13 +383,14 @@ class Model:
     The encoder runs conv blocks (conv-maxpool-relu), then global average
     pooling; max pooling and ReLU commute, outputs and gradients included,
     so pooling first gives the same model and runs the ReLU on a quarter of
-    the values.  It runs over one chunk of a batch's images at a time (see
-    ENCODER_CHUNK_BYTES), writing each chunk's rows of one embedding array;
-    the backward pass runs the head once, then the encoder chunk by chunk,
-    and the weight gradients add up the chunks' sums.  The embedding width
-    is independent of the input resolution, so one head serves every
-    probe/input resolution.  The head runs
-    dense-relu layers, then a linear output layer."""
+    the values.  It runs over one chunk of one slot's images at a time (see
+    ENCODER_CHUNK_BYTES), read in place from the caller's stack, and writes
+    each chunk's rows of one (slot, image, channel) embedding array; the
+    backward pass runs the head once, then the encoder chunk by chunk, and
+    the weight gradients add up the chunks' sums.  The embedding width is
+    independent of the input resolution, so one head serves every
+    probe/input resolution.  The head runs dense-relu layers, then a linear
+    output layer."""
 
     def __init__(self, spec: ModelSpec, seed: int):
         require_type("spec", spec, ModelSpec)
@@ -417,10 +423,15 @@ class Model:
         stacks holds stack_count view-first arrays of one shape (N, k, r, r),
         one per slot, in a list or tuple.  Each sample gives channel-last
         images, one k-channel image per slot ("combined") or one 1-channel
-        image per view ("separate"); the encoder copies them in one chunk at
-        a time.  Its embeddings reach the head in slot order and then view
-        order, so two slots of k views embed exactly as one slot of 2k
-        views.  No layer keeps a backward cache.
+        image per view ("separate"); the encoder reads them in place, one
+        chunk of one slot at a time.  Its embeddings reach the head in slot
+        order and then view order, so two slots of k views embed exactly as
+        one slot of 2k views.  No layer keeps a backward cache.
+
+        A pass is flat in batch size for C-contiguous float64 stacks, as
+        train, np.stack and row slices give.  Another dtype, or a "separate"
+        stack whose sample and view axes cannot merge (x[:, :5] of 7 views),
+        is copied once, whole, and predicts the bits of that copy.
         """
         return self._forward(stacks, dims, need_cache=False)
 
@@ -430,25 +441,26 @@ class Model:
         spec = self.spec
         stacks, dims = _samples(stacks, dims)
         self._require_layout(stacks)
-        # each slot as a (n, images per sample, r, r, channels) view
-        slots = [x[..., None] if spec.variant == "separate" else x.transpose(0, 2, 3, 1)[:, None] for x in stacks]
-        r = slots[0].shape[2]
-        n = len(dims) * len(slots) * slots[0].shape[1]
+        n, r, width = len(dims), stacks[0].shape[2], spec.embedding_width
+        # each slot's channel-last images, a view of its stack: one per view or one per sample
+        slots = [x.reshape(-1, r, r, 1) if spec.variant == "separate" else x.transpose(0, 2, 3, 1) for x in stacks]
         # one image's conv0 output is r * r * C0 float64 values
         step = max(1, ENCODER_CHUNK_BYTES // (8 * r * r * spec.encoder_channels[0]))
-        embedding = np.empty((n, spec.encoder_channels[-1]))
+        embedding = np.empty((len(slots), len(slots[0]), spec.encoder_channels[-1]))
         chunks = []
-        for start in range(0, n, step):
-            rows = slice(start, min(start + step, n))
-            x, blocks = _images(slots, rows), []
-            for w, b in self.convs:
-                x, conv = conv2d_forward(x, w.value, b.value, need_cache=need_cache)
-                x, pool = maxpool2x2_forward(x, need_cache=need_cache)
-                x, relu = relu_forward(x, need_cache=need_cache)
-                blocks.append((conv, pool, relu))
-            embedding[rows], gap = global_avg_pool_forward(x, need_cache=need_cache)
-            chunks.append((rows, blocks, gap))
-        x = embedding.reshape(len(dims), spec.embedding_width)
+        for slot, images in enumerate(slots):
+            for start in range(0, len(images), step):
+                rows = slice(start, start + step)
+                x, blocks = images[rows], []
+                for w, b in self.convs:
+                    x, conv = conv2d_forward(x, w.value, b.value, need_cache=need_cache)
+                    x, pool = maxpool2x2_forward(x, need_cache=need_cache)
+                    x, relu = relu_forward(x, need_cache=need_cache)
+                    blocks.append((conv, pool, relu))
+                embedding[slot, rows], gap = global_avg_pool_forward(x, need_cache=need_cache)
+                chunks.append((slot, rows, blocks, gap))
+        # each sample's embeddings in slot order, then view order
+        x = embedding.reshape(len(slots), n, width // len(slots)).transpose(1, 0, 2).reshape(n, width)
         x = np.concatenate([x, dims[:, None] * DIMENSION_SCALE], axis=1)
         hidden = []
         for w, b in self.denses[:-1]:
@@ -461,18 +473,24 @@ class Model:
 
     def backward_batch(self, gpred, cache):
         """Accumulate parameter gradients; augments .grad on every Param.
-        The head runs backward once, then the encoder once per chunk of the
+        cache is what _forward returned with need_cache=True.  The head
+        runs backward once, then the encoder once per chunk of the
         forward pass.  One statement per step frees each gradient once the
         next has read it."""
+        require_type("gpred", gpred, np.ndarray)
+        require_type("cache", cache, tuple)
         chunks, hidden, out = cache
         g = _add_grads(self.denses[-1], *dense_backward(gpred, out))
         for params, (dense, relu) in zip(reversed(self.denses[:-1]), reversed(hidden)):
             g = relu_backward(g, relu)
             g = _add_grads(params, *dense_backward(g, dense))
-        # the last column, the dimension feature, carries no parameters
-        g = g[:, :-1].reshape(-1, self.spec.encoder_channels[-1])
-        for rows, blocks, gap in chunks:
-            x = global_avg_pool_backward(g[rows], gap)
+        # the last column, the dimension feature, carries no parameters; the
+        # rest goes back to the forward pass's (slot, image, channel) layout
+        spec = self.spec
+        g = g[:, :-1].reshape(len(g), spec.stack_count, spec.embedding_width // spec.stack_count).transpose(1, 0, 2)
+        g = g.reshape(spec.stack_count, -1, spec.encoder_channels[-1])
+        for slot, rows, blocks, gap in chunks:
+            x = global_avg_pool_backward(g[slot, rows], gap)
             for i in reversed(range(len(self.convs))):
                 conv, pool, relu = blocks[i]
                 x = relu_backward(x, relu)
@@ -544,8 +562,8 @@ def _samples(stacks, dims):
         raise ContractError(f"problem dimensions must be a 1-D array, one per sample, got shape {dims.shape}")
     stacks = [finite_array(x, "a stack") for x in stacks]
     for x in stacks:
-        if x.ndim != 4 or x.shape[2] != x.shape[3]:
-            raise ContractError(f"expected stacks of shape (n, k, r, r), got {x.shape}")
+        if x.ndim != 4 or not 0 < x.shape[2] == x.shape[3]:
+            raise ContractError(f"expected stacks of shape (n, k, r, r) with r >= 1, got {x.shape}")
         if len(x) != len(dims):
             raise ContractError(f"{len(dims)} dims for a stack of {len(x)} sample(s); give one dimension per sample")
         if x.shape != stacks[0].shape:

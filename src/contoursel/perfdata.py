@@ -184,11 +184,13 @@ def relert_matrix(erts: dict, penalty_override: float | None = None) -> RelErtTa
 
 def sbs(table: RelErtTable) -> str:
     """Single best solver: lowest mean relERT, ties by lexicographic id."""
+    require_type("table", table, RelErtTable)
     return table.algorithms[int(np.argmin(_column_means(table.relert)))]
 
 
 def vbs_mean(table: RelErtTable) -> float:
     """Mean over configurations of the per-configuration best relERT (1.0)."""
+    require_type("table", table, RelErtTable)
     return float(table.relert.min(axis=1).mean())
 
 
@@ -265,9 +267,12 @@ def hypervolume_2d(points, ref) -> float:
 def rel_hv(hv, hv_sbs, hv_vbs):
     """Rescale hypervolume against the VBS-SBS gap: SBS ~ 0, VBS = 1,
     negative means worse than the single best solver.  RELHV_EPSILON, added
-    above and below, maps a collapsed gap to 1.  Takes floats or arrays that
-    broadcast together."""
-    return (hv - hv_sbs + RELHV_EPSILON) / (hv_vbs - hv_sbs + RELHV_EPSILON)
+    above and below, maps a collapsed gap to 1.  Takes floats, giving a
+    float, or arrays that broadcast together; DataError for anything else."""
+    try:
+        return (hv - hv_sbs + RELHV_EPSILON) / (hv_vbs - hv_sbs + RELHV_EPSILON)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"hypervolumes must be numbers or arrays that broadcast together: {exc}") from None
 
 
 def reference_point(fronts) -> tuple[float, float]:
@@ -423,7 +428,9 @@ def ingest_moo_hv(path) -> list[MooHvRecord]:
 
 def emit_relert_table(path, table: RelErtTable) -> None:
     """relERT matrix as CSV: one row per (function, dimension), one column
-    per portfolio algorithm."""
+    per portfolio algorithm; a table that is not a RelErtTable is refused
+    before the file is opened."""
+    require_type("table", table, RelErtTable)
     _write_csv(
         path,
         ["function", "dimension", *table.algorithms],

@@ -73,11 +73,10 @@ class ContourStack:
 
 def plan_slice(d: int, rng: np.random.Generator) -> tuple[int, int]:
     """Choose the 2-D cross-section: an ascending (i, j) pair of coordinates,
-    uniform over unordered pairs; (0, 1) when d == 2."""
+    uniform over unordered pairs, so (0, 1) when d == 2.  Every d draws
+    from rng, d == 2 included."""
     require_integer("slice dimension", d, 2, COUNT_MAX)
     require_type("rng", rng, np.random.Generator)
-    if d == 2:
-        return (0, 1)
     pair = rng.choice(d, size=2, replace=False)
     return int(pair.min()), int(pair.max())
 
@@ -160,14 +159,14 @@ def quantize_levels(field, levels: int) -> np.ndarray:
 
 def resize_bilinear(field, r_out: int) -> np.ndarray:
     """Endpoint-aligned bilinear resample of a square finite field to
-    r_out x r_out (corners exact)."""
+    r_out x r_out (corners exact).  At r_out equal to the input size every
+    value comes back exactly, except that a -0.0 next to a positive value
+    may come back as +0.0."""
     require_integer("output resolution", r_out, 2, COUNT_MAX)
     vals = finite_array(field, "a field")
     if vals.ndim != 2 or not 0 < vals.shape[0] == vals.shape[1]:
         raise ContractError(f"resize_bilinear expects a square 2-D field, got shape {vals.shape}")
     r_in = vals.shape[0]
-    if r_out == r_in:
-        return vals.copy()
     u = np.arange(r_out) * (r_in - 1) / (r_out - 1)
     i0 = np.minimum(u.astype(int), r_in - 2)
     frac = u - i0

@@ -289,6 +289,7 @@ def pareto_front_points(inst: ProblemInstance, n: int = 2001) -> np.ndarray:
 
 def true_group(function_code: str) -> int:
     """Function group index (1..5) for a single-objective function."""
+    require_type("function_code", function_code, str)
     if function_code not in FUNCTION_GROUPS:
         raise InvalidProblemError(f"no group defined for {function_code!r}")
     return FUNCTION_GROUPS[function_code]

@@ -312,8 +312,8 @@ class TestMaxPoolAgainstOracle:
 
     def test_separate_prediction_peak_memory(self):
         """The same batch through forward_batch peaks at 3.3 MiB, one
-        chunk's images and feature maps; the whole batch at once peaks at
-        30.1 MiB."""
+        chunk's padded images and feature maps; the whole batch at once
+        peaks at 30.1 MiB."""
         model = Model(ModelSpec(variant="separate", input_resolution=64, output_count=3), seed=0)
         rng = np.random.default_rng(0)
         stacks, dims = [rng.random((8, 5, 64, 64))], np.full(8, 2.0)
@@ -571,10 +571,11 @@ def chunk_cases():
     """(variant, stack_count, samples, resolution, chunk) with 32 conv0
     channels; chunk None keeps the module's budget (8 images at 32 px, and
     one image alone exceeds it at 96 px), a number sets the budget to that
-    many images."""
+    many images, so one slot of 3 samples holds a chunk less one image, a
+    chunk, or a chunk and one image."""
     for variant in ("combined", "separate"):
         for slots in (1, 2):
-            per_sample = slots * (5 if variant == "separate" else 1)
+            per_sample = 5 if variant == "separate" else 1
             name = f"{variant}-{slots}-slot"
             yield pytest.param(variant, slots, 1, 32, None, id=f"{name}-one-sample")
             for offset, label in ((1, "chunk-1"), (0, "chunk"), (-1, "chunk+1")):
@@ -606,8 +607,9 @@ class TestChunkedEncoder:
         calls = {}
         monkeypatch.setattr(neural, "conv2d_forward", counting(calls, "conv", neural.conv2d_forward))
         pred, _ = model.forward_batch(stacks, dims)
-        images = samples * stack_count * (5 if variant == "separate" else 1)
-        assert calls["conv"] == 2 * -(-images // per_chunk)
+        # a chunk never spans two slots
+        images = samples * (5 if variant == "separate" else 1)
+        assert calls["conv"] == 2 * stack_count * -(-images // per_chunk)
         assert pred.tobytes() == want_pred.tobytes()
         assert model.loss_and_grads(stacks, dims, targets) == want_loss
         for p in model.params():
@@ -619,19 +621,19 @@ class TestChunkedEncoder:
     def test_two_slot_separate_peak_memory(self):
         """A bi-objective `separate` model, 32 samples of two 5-view 64 px
         slots (320 images): a loss_and_grads step peaks at 104.2 MiB and
-        forward_batch at 3.8 MiB, against 318.9 and 240.1 MiB with the
+        forward_batch at 3.5 MiB, against 318.9 and 240.1 MiB with the
         whole batch at once."""
         model = Model(ModelSpec(variant="separate", input_resolution=64, output_count=3, stack_count=2), seed=0)
         rng = np.random.default_rng(0)
         stacks, dims, targets = [rng.random((32, 5, 64, 64)) for _ in range(2)], np.full(32, 2.0), rng.random((32, 3))
         assert traced_peak(lambda: model.loss_and_grads(stacks, dims, targets)) <= 105.5 * 2**20
-        assert traced_peak(lambda: model.forward_batch(stacks, dims)) <= 5 * 2**20
+        assert traced_peak(lambda: model.forward_batch(stacks, dims)) <= 4.5 * 2**20
 
     @pytest.mark.parametrize("variant", ["combined", "separate"])
     def test_prediction_peak_memory_is_flat_in_batch_size(self, variant):
-        """forward_batch builds each chunk's images from the samples they
-        come from, so 64 samples peak within one chunk's worth of 8
-        (`separate`: 3.5 and 3.3 MiB; `combined`: 4.7 and 4.7 MiB)."""
+        """forward_batch reads each chunk's images in place from the
+        stacks, so 64 samples peak within one chunk's worth of 8
+        (`separate`: 3.4 and 3.3 MiB; `combined`: 4.1 and 4.1 MiB)."""
         model = Model(ModelSpec(variant=variant, input_resolution=64, output_count=3), seed=0)
         rng = np.random.default_rng(0)
         peaks = []
@@ -639,6 +641,50 @@ class TestChunkedEncoder:
             stacks, dims = [rng.random((n, 5, 64, 64))], np.full(n, 2.0)
             peaks.append(traced_peak(lambda: model.forward_batch(stacks, dims)))
         assert abs(peaks[1] - peaks[0]) <= neural.ENCODER_CHUNK_BYTES
+
+    @pytest.mark.parametrize("variant", ["combined", "separate"])
+    @pytest.mark.parametrize("stack_count", [1, 2])
+    def test_conv0_reads_the_callers_stacks_in_place(self, monkeypatch, variant, stack_count):
+        """Every chunk conv0 takes is a view of one caller's stack, so the
+        conv padding is the only copy of the images; with two images per
+        chunk each slot takes its chunks in turn, and none spans two."""
+        spec = ModelSpec(variant=variant, input_resolution=8, output_count=2, stack_count=stack_count,
+                         encoder_channels=(2, 3), head_widths=(4,))
+        model = Model(spec, seed=0)
+        rng = np.random.default_rng(stack_count)
+        stacks = [rng.random((3, 5, 8, 8)) for _ in range(stack_count)]
+        # two images a chunk: each is 8 x 8 px of 2 conv0 channels, 8 bytes a value
+        monkeypatch.setattr(neural, "ENCODER_CHUNK_BYTES", 2 * 8 * 8 * 2 * 8)
+        inputs, conv = [], neural.conv2d_forward
+
+        def spy(x, w, b, **kwargs):
+            if w is model.convs[0][0].value:
+                inputs.append(x)
+            return conv(x, w, b, **kwargs)
+
+        monkeypatch.setattr(neural, "conv2d_forward", spy)
+        model.forward_batch(stacks, [2.0, 3.0, 5.0])
+        owners = [[slot for slot, s in enumerate(stacks) if np.shares_memory(x, s)] for x in inputs]
+        per_slot = -(-3 * (5 if variant == "separate" else 1) // 2)
+        assert owners == [[slot] for slot in range(stack_count) for _ in range(per_slot)]
+
+    @pytest.mark.parametrize("variant", ["combined", "separate"])
+    def test_stack_views_give_the_bits_of_their_contiguous_copies(self, variant):
+        """Stacks that are strided, offset or reversed views of a larger
+        array, whose sample and view axes cannot merge without a copy,
+        predict and train as their contiguous copies, bit for bit."""
+        spec = ModelSpec(variant=variant, input_resolution=8, output_count=2, stack_count=2,
+                         encoder_channels=(2, 3), head_widths=(4,))
+        model = Model(spec, seed=1)
+        base = np.random.default_rng(1).random((6, 7, 9, 9))
+        views = [base[::2, :5, :8, :8], base[::-2, 2:, 1:, ::-1][:, :, :, :8]]
+        copies = [np.ascontiguousarray(v) for v in views]
+        dims, targets = np.array([2.0, 3.0, 10.0]), np.arange(6.0).reshape(3, 2)
+        assert model.forward_batch(views, dims)[0].tobytes() == model.forward_batch(copies, dims)[0].tobytes()
+        loss = model.loss_and_grads(views, dims, targets)
+        grads = [p.grad.copy() for p in model.params()]
+        assert model.loss_and_grads(copies, dims, targets) == loss
+        assert all(g.tobytes() == p.grad.tobytes() for g, p in zip(grads, model.params()))
 
 
 def grad_check(model: Model, stacks, dims, targets, h: float = 1e-5) -> float:
