@@ -10,13 +10,15 @@ cannot convert, finite_array also for NaN or inf.  is_integer and is_real
 only answer True or False.  A count an entry point takes (a dimension, a
 resolution, a width, a level count) is at most COUNT_MAX, so a count that
 no C long, float or array dimension holds is refused by name.  opened
-opens every file the toolkit reads or writes: an OSError becomes a
-ContractError naming the path, text that is not UTF-8 a ParseError.
+opens every file the toolkit reads or writes: a path that is not a str,
+bytes or os.PathLike and an OSError become a ContractError, text that is
+not UTF-8 a ParseError.
 """
 
 import contextlib
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -86,9 +88,12 @@ def require_type(name: str, value, kind) -> None:
 
 @contextlib.contextmanager
 def opened(path, mode: str = "r"):
-    """open(path, mode), text as UTF-8 with newline=""; an OSError at open,
-    read, write or close raises ContractError naming the path and the OS
-    reason, and undecodable text raises ParseError naming the path."""
+    """open(path, mode), text as UTF-8 with newline=""; a path that is not a
+    str, bytes or os.PathLike raises ContractError, so an integer is never
+    taken as a file descriptor, an OSError at open, read, write or close
+    raises ContractError naming the path and the OS reason, and
+    undecodable text raises ParseError naming the path."""
+    require_type("path", path, (str, bytes, os.PathLike))
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
     try:
         with open(path, mode, **text) as fh:

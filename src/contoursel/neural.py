@@ -16,13 +16,15 @@ Two model variants exist: "combined" consumes the views of a stack as the
 input channels of one image, "separate" turns each view into a 1-channel
 image.  A bi-objective model takes two stacks (slots) of one shape per
 sample.  Either way all images of a batch share one encoder, which reads
-them in place from their stacks and runs depth first: each chunk of one
-slot's images, at most ENCODER_CHUNK_BYTES of conv0 output, goes through
-every conv block and the global average pool before the next chunk starts,
-so a pass holds one chunk's feature maps however large the batch, and
-conv0's zero padding is the only copy of a chunk's images.  The
-embeddings are concatenated in slot order and then view order; the head
-runs once per batch.
+them in place from their stacks and runs depth first, one group of whole
+samples at a time (see ENCODER_CHUNK_BYTES): each slot's images of the
+group go through every conv block and the global average pool before the
+next group starts, so a pass holds one group's feature maps however large
+the batch, and conv0's zero padding is the only copy of a chunk's images.
+The embeddings are concatenated in slot order and then view order.  A
+training step runs each group's forward and backward pass back to back,
+so it too holds one group's caches at a time, and then runs the head once
+more over the whole batch for the loss and the head's gradients.
 """
 
 from __future__ import annotations
@@ -243,8 +245,14 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
         raise ContractError("no predictions to score: the mean squared error of an empty batch is undefined")
     diff = pred - target
     loss = float(np.mean(diff * diff))
-    grad = 2.0 * diff / diff.size
-    return loss, grad
+    return loss, _mse_gradient(diff, diff.size)
+
+
+def _mse_gradient(diff: np.ndarray, count: int) -> np.ndarray:
+    """The gradient of a mean squared error over count values w.r.t. the
+    predictions that differ by diff from their targets; diff may hold a
+    part of the count, as one sample group of a batch does."""
+    return 2.0 * diff / count
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +370,24 @@ class TrainConfig:
         require_integer("seed", self.seed)
 
 
-# The encoder runs every conv block on one chunk of images at a time: as
-# many images as fit in this many bytes of conv0 output, and never fewer
-# than one.  Swept on the 2-vCPU Xeon of the ROADMAP baseline with 1 BLAS
-# thread, default `separate` spec at 64 px.  A batch-8 training step took
-# 198-208 ms at 1 MiB, 182-189 ms at 2 MiB, 180-184 ms at 4 MiB and
-# 188-190 ms with the whole batch in one chunk (medians of 25 steps,
-# budgets interleaved in one process).  A `separate_train` benchmark round
-# took 0-5 minor page faults (ru_minflt) at 1 and 2 MiB, as with the whole
-# batch, but 23.9k at 4 MiB: glibc's dynamic mmap and trim thresholds hand
-# chunk arrays of that size back to the kernel on every free, and with both
-# thresholds pinned for the process the faults were gone.  2 MiB is the
-# fastest budget that does not fault.
+# The encoder runs every conv block on one group of whole samples at a
+# time: as many samples as fit in this many bytes of one slot's conv0
+# output, and never fewer than one.  At 64 px a default `separate` sample's
+# five images make 2.5 MiB, so a group is one sample, and a `combined`
+# group is four.  A training step runs each group's forward and backward
+# back to back, so it holds one group's caches, and since the head needs
+# every image of a sample, a group is whole samples.  The budget was swept
+# over chunks of images, before the unit became samples, on the 2-vCPU
+# Xeon of the ROADMAP baseline with 1 BLAS thread, default `separate` spec
+# at 64 px.  A batch-8 training step took 198-208 ms at 1 MiB, 182-189 ms
+# at 2 MiB, 180-184 ms at 4 MiB and 188-190 ms with the whole batch in one
+# chunk (medians of 25 steps, budgets interleaved in one process).  A
+# `separate_train` benchmark round took 0-5 minor page faults (ru_minflt)
+# at 1 and 2 MiB, as with the whole batch, but 23.9k at 4 MiB: glibc's
+# dynamic mmap and trim thresholds hand chunk arrays of that size back to
+# the kernel on every free, and with both thresholds pinned for the process
+# the faults were gone.  2 MiB is the fastest budget that does not fault,
+# and with one-sample groups of 2.5 MiB a round took 0 faults.
 ENCODER_CHUNK_BYTES = 2 * 2**20
 
 
@@ -383,14 +397,14 @@ class Model:
     The encoder runs conv blocks (conv-maxpool-relu), then global average
     pooling; max pooling and ReLU commute, outputs and gradients included,
     so pooling first gives the same model and runs the ReLU on a quarter of
-    the values.  It runs over one chunk of one slot's images at a time (see
-    ENCODER_CHUNK_BYTES), read in place from the caller's stack, and writes
-    each chunk's rows of one (slot, image, channel) embedding array; the
-    backward pass runs the head once, then the encoder chunk by chunk, and
-    the weight gradients add up the chunks' sums.  The embedding width is
-    independent of the input resolution, so one head serves every
-    probe/input resolution.  The head runs dense-relu layers, then a linear
-    output layer."""
+    the values.  It runs over one group of samples at a time (see
+    ENCODER_CHUNK_BYTES) and one slot's images of the group at a time, read
+    in place from the caller's stack, and writes the group's rows of one
+    (slot, sample, embedding) array.  The backward pass of a group runs the
+    head backward, then the encoder slot by slot, and the weight gradients
+    add up the chunks' sums.  The embedding width is independent of the
+    input resolution, so one head serves every probe/input resolution.  The
+    head runs dense-relu layers, then a linear output layer."""
 
     def __init__(self, spec: ModelSpec, seed: int):
         require_type("spec", spec, ModelSpec)
@@ -416,6 +430,16 @@ class Model:
     def params(self) -> list[Param]:
         return [p for pair in self.convs + self.denses for p in pair]
 
+    def _groups(self, n: int, r: int) -> list[slice]:
+        """The encoder's sample groups of a batch of n samples at r px:
+        consecutive slices of as many samples as fit ENCODER_CHUNK_BYTES of
+        one slot's conv0 output, and never fewer than one."""
+        spec = self.spec
+        images = spec.view_count if spec.variant == "separate" else 1
+        # one image's conv0 output is r * r * C0 float64 values
+        step = max(1, ENCODER_CHUNK_BYTES // (8 * r * r * spec.encoder_channels[0] * images))
+        return [slice(start, start + step) for start in range(0, n, step)]
+
     def forward_batch(self, stacks, dims):
         """Predict (N, output_count) from stacks and dims, the raw problem
         dimension of each sample in a 1-D array; returns (predictions, None).
@@ -424,44 +448,52 @@ class Model:
         one per slot, in a list or tuple.  Each sample gives channel-last
         images, one k-channel image per slot ("combined") or one 1-channel
         image per view ("separate"); the encoder reads them in place, one
-        chunk of one slot at a time.  Its embeddings reach the head in slot
-        order and then view order, so two slots of k views embed exactly as
-        one slot of 2k views.  No layer keeps a backward cache.
+        group of samples and one slot at a time, and the head runs once over
+        the whole batch.  The embeddings reach the head in slot order and
+        then view order, so two slots of k views embed exactly as one slot
+        of 2k views.  No layer keeps a backward cache.
 
         A pass is flat in batch size for C-contiguous float64 stacks, as
-        train, np.stack and row slices give.  Another dtype, or a "separate"
-        stack whose sample and view axes cannot merge (x[:, :5] of 7 views),
-        is copied once, whole, and predicts the bits of that copy.
+        train, np.stack and row slices give.  Another dtype is copied once,
+        whole, and a "separate" stack whose sample and view axes cannot
+        merge (x[:, :5] of 7 views) once per group; either predicts the bits
+        of its copy.
         """
         return self._forward(stacks, dims, need_cache=False)
 
     def _forward(self, stacks, dims, *, need_cache: bool):
         """forward_batch's predictions and, with need_cache, the caches
-        backward_batch consumes; (predictions, None) without."""
+        backward_batch consumes: the encoder's per-chunk caches, the head
+        input and the head's caches; (predictions, None) without."""
         spec = self.spec
         stacks, dims = _samples(stacks, dims)
         self._require_layout(stacks)
         n, r, width = len(dims), stacks[0].shape[2], spec.embedding_width
-        # each slot's channel-last images, a view of its stack: one per view or one per sample
-        slots = [x.reshape(-1, r, r, 1) if spec.variant == "separate" else x.transpose(0, 2, 3, 1) for x in stacks]
-        # one image's conv0 output is r * r * C0 float64 values
-        step = max(1, ENCODER_CHUNK_BYTES // (8 * r * r * spec.encoder_channels[0]))
-        embedding = np.empty((len(slots), len(slots[0]), spec.encoder_channels[-1]))
+        per_slot = width // len(stacks)
+        embedding = np.empty((len(stacks), n, per_slot))
         chunks = []
-        for slot, images in enumerate(slots):
-            for start in range(0, len(images), step):
-                rows = slice(start, start + step)
-                x, blocks = images[rows], []
+        for rows in self._groups(n, r):
+            for slot, x in enumerate(stacks):
+                # the group's channel-last images, a view of the stack: one per view or one per sample
+                x = x[rows].reshape(-1, r, r, 1) if spec.variant == "separate" else x[rows].transpose(0, 2, 3, 1)
+                blocks = []
                 for w, b in self.convs:
                     x, conv = conv2d_forward(x, w.value, b.value, need_cache=need_cache)
                     x, pool = maxpool2x2_forward(x, need_cache=need_cache)
                     x, relu = relu_forward(x, need_cache=need_cache)
                     blocks.append((conv, pool, relu))
-                embedding[slot, rows], gap = global_avg_pool_forward(x, need_cache=need_cache)
+                x, gap = global_avg_pool_forward(x, need_cache=need_cache)
+                embedding[slot, rows] = x.reshape(-1, per_slot)
                 chunks.append((slot, rows, blocks, gap))
         # each sample's embeddings in slot order, then view order
-        x = embedding.reshape(len(slots), n, width // len(slots)).transpose(1, 0, 2).reshape(n, width)
-        x = np.concatenate([x, dims[:, None] * DIMENSION_SCALE], axis=1)
+        x = np.concatenate([embedding.transpose(1, 0, 2).reshape(n, width), dims[:, None] * DIMENSION_SCALE], axis=1)
+        y, head = self._head(x, need_cache=need_cache)
+        return y, (chunks, x, head) if need_cache else None
+
+    def _head(self, x, *, need_cache: bool):
+        """The head's dense-relu layers and linear output layer over the head
+        inputs x; (predictions, caches for _head_backward), the caches None
+        without need_cache."""
         hidden = []
         for w, b in self.denses[:-1]:
             x, dense = dense_forward(x, w.value, b.value, need_cache=need_cache)
@@ -469,7 +501,17 @@ class Model:
             hidden.append((dense, relu))
         w, b = self.denses[-1]
         y, out = dense_forward(x, w.value, b.value, need_cache=need_cache)
-        return y, (chunks, hidden, out) if need_cache else None
+        return y, (hidden, out) if need_cache else None
+
+    def _head_backward(self, g, cache):
+        """Add the head's parameter gradients for the prediction gradient g;
+        return the gradient w.r.t. the head inputs."""
+        hidden, out = cache
+        g = _add_grads(self.denses[-1], *dense_backward(g, out))
+        for params, (dense, relu) in zip(reversed(self.denses[:-1]), reversed(hidden)):
+            g = relu_backward(g, relu)
+            g = _add_grads(params, *dense_backward(g, dense))
+        return g
 
     def backward_batch(self, gpred, cache):
         """Accumulate parameter gradients; augments .grad on every Param.
@@ -479,18 +521,14 @@ class Model:
         next has read it."""
         require_type("gpred", gpred, np.ndarray)
         require_type("cache", cache, tuple)
-        chunks, hidden, out = cache
-        g = _add_grads(self.denses[-1], *dense_backward(gpred, out))
-        for params, (dense, relu) in zip(reversed(self.denses[:-1]), reversed(hidden)):
-            g = relu_backward(g, relu)
-            g = _add_grads(params, *dense_backward(g, dense))
+        chunks, _, head = cache
+        g = self._head_backward(gpred, head)
         # the last column, the dimension feature, carries no parameters; the
-        # rest goes back to the forward pass's (slot, image, channel) layout
+        # rest goes back to the forward pass's (slot, sample, embedding) layout
         spec = self.spec
         g = g[:, :-1].reshape(len(g), spec.stack_count, spec.embedding_width // spec.stack_count).transpose(1, 0, 2)
-        g = g.reshape(spec.stack_count, -1, spec.encoder_channels[-1])
         for slot, rows, blocks, gap in chunks:
-            x = global_avg_pool_backward(g[slot, rows], gap)
+            x = global_avg_pool_backward(g[slot, rows].reshape(-1, spec.encoder_channels[-1]), gap)
             for i in reversed(range(len(self.convs))):
                 conv, pool, relu = blocks[i]
                 x = relu_backward(x, relu)
@@ -500,14 +538,38 @@ class Model:
 
     def loss_and_grads(self, stacks, dims, targets):
         """Mean squared error of one batch; the gradients land in .grad.
-        targets must be finite numbers of the predictions' shape,
-        (n, output_count), or mse_loss raises ContractError."""
+        targets must be finite numbers of shape (n, output_count) for a
+        batch of n >= 1 samples, or ContractError before any pass runs.
+
+        Each group of samples (see ENCODER_CHUNK_BYTES) runs its forward and
+        its backward pass back to back, so a step holds one group's caches
+        however large the batch.  A group's prediction gradient is scaled by
+        the whole batch's size, so the encoder's gradients add up to the
+        batch's.  The head then runs once more, forward and backward, over
+        the whole batch's head inputs: that pass replaces the head
+        gradients the groups added, and gives the loss and the head's
+        gradients the bits of one whole-batch pass."""
         targets = finite_array(targets, "training targets")
         for p in self.params():
             p.grad[...] = 0.0
-        pred, cache = self._forward(stacks, dims, need_cache=True)
+        stacks, dims = _samples(stacks, dims)
+        self._require_layout(stacks)
+        n, m = len(dims), self.spec.output_count
+        if targets.shape != (n, m):
+            raise ContractError(f"targets of shape {targets.shape} for {n} sample(s) of {m} output(s); want ({n}, {m})")
+        if n == 0:
+            raise ContractError("no predictions to score: the mean squared error of an empty batch is undefined")
+        inputs = np.empty((n, self.spec.embedding_width + 1))
+        for rows in self._groups(n, stacks[0].shape[2]):
+            pred, cache = self._forward([x[rows] for x in stacks], dims[rows], need_cache=True)
+            inputs[rows] = cache[1]
+            self.backward_batch(_mse_gradient(pred - targets[rows], targets.size), cache)
+            del cache  # the group's caches go before the next group's forward
+        for w, b in self.denses:
+            w.grad[...] = b.grad[...] = 0.0
+        pred, head = self._head(inputs, need_cache=True)
         loss, gpred = mse_loss(pred, targets)
-        self.backward_batch(gpred, cache)
+        self._head_backward(gpred, head)
         return loss
 
 

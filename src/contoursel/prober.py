@@ -67,8 +67,12 @@ class ContourStack:
     evaluations_spent: int
 
     def as_array(self) -> np.ndarray:
-        """A (k, r, r) float64 copy of the views."""
-        return self.views.copy()
+        """The (k, r, r) float64 views as a read-only view that shares
+        their memory, so np.stack over stacks copies each once; a write
+        through it raises ValueError, and a caller that edits copies it."""
+        view = self.views.view()
+        view.flags.writeable = False
+        return view
 
 
 def plan_slice(d: int, rng: np.random.Generator) -> tuple[int, int]:

@@ -300,19 +300,18 @@ class TestMaxPoolAgainstOracle:
 
     def test_separate_step_peak_memory(self):
         """One default-spec `separate` loss_and_grads step, batch 8, 64 px,
-        traced from its first allocation, peaks at 17.4 MiB: it keeps the
-        backward caches of all 40 images, but the full-resolution conv0
-        output and its gradient of one 2 MiB chunk at a time.  The encoder
-        run over the whole batch at once peaks at 41.0 MiB, and 4 MiB
-        chunks at 20.0 MiB."""
+        traced from its first allocation, peaks at 7.2 MiB: it keeps the
+        backward caches of one sample's five images at a time.  Keeping
+        the caches of all 40 images peaked at 17.4 MiB, and the encoder run
+        over the whole batch at once at 41.0 MiB."""
         model = Model(ModelSpec(variant="separate", input_resolution=64, output_count=3), seed=0)
         rng = np.random.default_rng(0)
         stacks, dims, targets = [rng.random((8, 5, 64, 64))], np.full(8, 2.0), rng.random((8, 3))
-        assert traced_peak(lambda: model.loss_and_grads(stacks, dims, targets)) <= 18.5 * 2**20
+        assert traced_peak(lambda: model.loss_and_grads(stacks, dims, targets)) <= 8.25 * 2**20
 
     def test_separate_prediction_peak_memory(self):
-        """The same batch through forward_batch peaks at 3.3 MiB, one
-        chunk's padded images and feature maps; the whole batch at once
+        """The same batch through forward_batch peaks at 3.9 MiB, one
+        sample's padded images and feature maps; the whole batch at once
         peaks at 30.1 MiB."""
         model = Model(ModelSpec(variant="separate", input_resolution=64, output_count=3), seed=0)
         rng = np.random.default_rng(0)
@@ -432,10 +431,13 @@ class TestModelShapes:
         model.forward_batch(stacks, dims)
         model.loss_and_grads(stacks, dims, [[0.0, 0.0], [1.0, 1.0]])
         # two forward passes and one backward pass through two conv blocks
-        # and a head of one hidden and one output dense layer
+        # and a head of one hidden and one output dense layer; the step's one
+        # sample group runs the head forward and backward, and then the head
+        # runs both once more over the whole batch, so the head's dense and
+        # ReLU counts hold a third forward and a second backward
         assert calls == {
-            "conv2d_forward": 4, "maxpool2x2_forward": 4, "relu_forward": 6, "global_avg_pool_forward": 2,
-            "dense_forward": 4, "mse_loss": 1, "dense_backward": 2, "relu_backward": 3,
+            "conv2d_forward": 4, "maxpool2x2_forward": 4, "relu_forward": 7, "global_avg_pool_forward": 2,
+            "dense_forward": 6, "mse_loss": 1, "dense_backward": 4, "relu_backward": 4,
             "global_avg_pool_backward": 1, "maxpool2x2_backward": 2, "conv2d_backward": 2,
         }
 
@@ -569,15 +571,18 @@ def whole_batch_oracle(model: Model, stacks, dims, targets):
 
 def chunk_cases():
     """(variant, stack_count, samples, resolution, chunk) with 32 conv0
-    channels; chunk None keeps the module's budget (8 images at 32 px, and
-    one image alone exceeds it at 96 px), a number sets the budget to that
-    many images, so one slot of 3 samples holds a chunk less one image, a
-    chunk, or a chunk and one image."""
+    channels; chunk None keeps the module's budget (8 `combined` samples or
+    one `separate` sample at 32 px, and one image alone exceeds it at
+    96 px), a number sets the budget to that many images, and the encoder
+    rounds it down to whole samples: one slot of 3 samples holds a chunk
+    less one image or a chunk (one group of 3), or a chunk and one image
+    (groups of 2 and 1)."""
     for variant in ("combined", "separate"):
         for slots in (1, 2):
             per_sample = 5 if variant == "separate" else 1
             name = f"{variant}-{slots}-slot"
             yield pytest.param(variant, slots, 1, 32, None, id=f"{name}-one-sample")
+            yield pytest.param(variant, slots, 3, 32, None, id=f"{name}-module-budget")
             for offset, label in ((1, "chunk-1"), (0, "chunk"), (-1, "chunk+1")):
                 yield pytest.param(variant, slots, 3, 32, 3 * per_sample + offset, id=f"{name}-{label}-images")
             yield pytest.param(variant, slots, 2, 96, None, id=f"{name}-image-over-budget")
@@ -590,12 +595,13 @@ class TestChunkedEncoder:
     def test_chunks_give_the_whole_batch_bits(self, monkeypatch, variant, stack_count, samples, resolution, chunk):
         """Predictions, loss and head gradients are the bits of the
         whole-batch oracle.  Only the conv weight and bias gradients, sums
-        over every pixel of every image, regroup by chunk: each agrees to
-        1e-13 of the magnitude of the terms it adds up."""
+        over every pixel of every image, regroup by sample group, and their
+        prediction gradients come from each group's own head pass: each
+        agrees to 1e-13 of the magnitude of the terms it adds up."""
         image_bytes = resolution**2 * 32 * 8
         if chunk is not None:
             monkeypatch.setattr(neural, "ENCODER_CHUNK_BYTES", chunk * image_bytes)
-        per_chunk = max(1, neural.ENCODER_CHUNK_BYTES // image_bytes)
+        per_group = max(1, neural.ENCODER_CHUNK_BYTES // ((5 if variant == "separate" else 1) * image_bytes))
         spec = ModelSpec(variant=variant, input_resolution=resolution, output_count=3, stack_count=stack_count,
                          encoder_channels=(32, 4), head_widths=(8,))
         model = Model(spec, seed=samples)
@@ -607,9 +613,8 @@ class TestChunkedEncoder:
         calls = {}
         monkeypatch.setattr(neural, "conv2d_forward", counting(calls, "conv", neural.conv2d_forward))
         pred, _ = model.forward_batch(stacks, dims)
-        # a chunk never spans two slots
-        images = samples * (5 if variant == "separate" else 1)
-        assert calls["conv"] == 2 * stack_count * -(-images // per_chunk)
+        # a chunk is one slot's images of one group
+        assert calls["conv"] == 2 * stack_count * -(-samples // per_group)
         assert pred.tobytes() == want_pred.tobytes()
         assert model.loss_and_grads(stacks, dims, targets) == want_loss
         for p in model.params():
@@ -620,20 +625,39 @@ class TestChunkedEncoder:
 
     def test_two_slot_separate_peak_memory(self):
         """A bi-objective `separate` model, 32 samples of two 5-view 64 px
-        slots (320 images): a loss_and_grads step peaks at 104.2 MiB and
-        forward_batch at 3.5 MiB, against 318.9 and 240.1 MiB with the
-        whole batch at once."""
+        slots (320 images): a loss_and_grads step peaks at 8.9 MiB and
+        forward_batch at 4.1 MiB, against 104.2 MiB for a step that keeps
+        the caches of every image, and 318.9 and 240.1 MiB with the whole
+        batch at once."""
         model = Model(ModelSpec(variant="separate", input_resolution=64, output_count=3, stack_count=2), seed=0)
         rng = np.random.default_rng(0)
         stacks, dims, targets = [rng.random((32, 5, 64, 64)) for _ in range(2)], np.full(32, 2.0), rng.random((32, 3))
-        assert traced_peak(lambda: model.loss_and_grads(stacks, dims, targets)) <= 105.5 * 2**20
+        assert traced_peak(lambda: model.loss_and_grads(stacks, dims, targets)) <= 10 * 2**20
         assert traced_peak(lambda: model.forward_batch(stacks, dims)) <= 4.5 * 2**20
+
+    @pytest.mark.parametrize("variant", ["combined", "separate"])
+    @pytest.mark.parametrize("stack_count", [1, 2])
+    def test_training_peak_memory_is_flat_in_batch_size(self, variant, stack_count):
+        """A loss_and_grads step runs each sample group's forward and
+        backward back to back, so 64 samples peak within one chunk budget
+        of 8, plus the one-byte finiteness mask of the larger batch.  At
+        48 px a group is 7 `combined` samples or one `separate` sample, so
+        8 samples fill a group in both variants."""
+        model = Model(ModelSpec(variant=variant, input_resolution=48, output_count=3, stack_count=stack_count),
+                      seed=0)
+        rng = np.random.default_rng(0)
+        peaks = []
+        for n in (8, 64):
+            stacks, dims, targets = [rng.random((n, 5, 48, 48)) for _ in range(stack_count)], np.full(n, 2.0), \
+                rng.random((n, 3))
+            peaks.append(traced_peak(lambda: model.loss_and_grads(stacks, dims, targets)))
+        assert abs(peaks[1] - peaks[0]) <= neural.ENCODER_CHUNK_BYTES + sum(x.size for x in stacks)
 
     @pytest.mark.parametrize("variant", ["combined", "separate"])
     def test_prediction_peak_memory_is_flat_in_batch_size(self, variant):
         """forward_batch reads each chunk's images in place from the
         stacks, so 64 samples peak within one chunk's worth of 8
-        (`separate`: 3.4 and 3.3 MiB; `combined`: 4.1 and 4.1 MiB)."""
+        (`separate`: 3.9 and 4.1 MiB; `combined`: 4.1 and 4.1 MiB)."""
         model = Model(ModelSpec(variant=variant, input_resolution=64, output_count=3), seed=0)
         rng = np.random.default_rng(0)
         peaks = []
@@ -646,15 +670,17 @@ class TestChunkedEncoder:
     @pytest.mark.parametrize("stack_count", [1, 2])
     def test_conv0_reads_the_callers_stacks_in_place(self, monkeypatch, variant, stack_count):
         """Every chunk conv0 takes is a view of one caller's stack, so the
-        conv padding is the only copy of the images; with two images per
-        chunk each slot takes its chunks in turn, and none spans two."""
+        conv padding is the only copy of the images, in a prediction pass
+        and in a training step alike; with two samples a group, each group
+        gives every slot's images in turn, and no chunk spans two slots."""
         spec = ModelSpec(variant=variant, input_resolution=8, output_count=2, stack_count=stack_count,
                          encoder_channels=(2, 3), head_widths=(4,))
         model = Model(spec, seed=0)
         rng = np.random.default_rng(stack_count)
         stacks = [rng.random((3, 5, 8, 8)) for _ in range(stack_count)]
-        # two images a chunk: each is 8 x 8 px of 2 conv0 channels, 8 bytes a value
-        monkeypatch.setattr(neural, "ENCODER_CHUNK_BYTES", 2 * 8 * 8 * 2 * 8)
+        images = 5 if variant == "separate" else 1
+        # two samples a group: an image is 8 x 8 px of 2 conv0 channels, 8 bytes a value
+        monkeypatch.setattr(neural, "ENCODER_CHUNK_BYTES", 2 * images * 8 * 8 * 2 * 8)
         inputs, conv = [], neural.conv2d_forward
 
         def spy(x, w, b, **kwargs):
@@ -664,9 +690,10 @@ class TestChunkedEncoder:
 
         monkeypatch.setattr(neural, "conv2d_forward", spy)
         model.forward_batch(stacks, [2.0, 3.0, 5.0])
+        model.loss_and_grads(stacks, [2.0, 3.0, 5.0], np.zeros((3, 2)))
         owners = [[slot for slot, s in enumerate(stacks) if np.shares_memory(x, s)] for x in inputs]
-        per_slot = -(-3 * (5 if variant == "separate" else 1) // 2)
-        assert owners == [[slot] for slot in range(stack_count) for _ in range(per_slot)]
+        assert owners == 2 * [[slot] for _ in range(2) for slot in range(stack_count)]
+        assert [len(x) for x in inputs] == 2 * ([2 * images] * stack_count + [images] * stack_count)
 
     @pytest.mark.parametrize("variant", ["combined", "separate"])
     def test_stack_views_give_the_bits_of_their_contiguous_copies(self, variant):
@@ -995,6 +1022,19 @@ class TestSamples:
     def test_targets_must_be_one_row_per_sample(self, targets):
         with pytest.raises(ContractError, match="targets"):
             Dataset(stacks=[np.zeros((2, 5, 8, 8))], dims=[2.0, 3.0], targets=targets)
+
+    @pytest.mark.parametrize("targets", [np.zeros(2), np.zeros((2, 3)), np.zeros((1, 2)), np.zeros((2, 2, 1))],
+                             ids=["flat", "wide", "short", "3d"])
+    def test_wrong_shaped_targets_leave_every_gradient_at_zero(self, targets):
+        """The targets' shape is checked before the first sample group
+        runs, so a refused step adds nothing to the zeroed gradients."""
+        model = Model(tiny_spec(), seed=0)
+        stacks, dims = [np.random.default_rng(0).random((2, 5, 8, 8))], [2.0, 3.0]
+        model.loss_and_grads(stacks, dims, np.ones((2, 2)))
+        assert all(p.grad.any() for p in model.params())
+        with pytest.raises(ContractError, match="targets"):
+            model.loss_and_grads(stacks, dims, targets)
+        assert not any(p.grad.any() for p in model.params())
 
     def test_view_count_is_checked_against_the_spec(self):
         with pytest.raises(ContractError, match=r"\(n, 5, r, r\)"):

@@ -457,9 +457,17 @@ class TestStacks:
     def test_views_are_one_array(self):
         stack = build_soo_stack("sphere", 2, instance_seeds=[1, 2, 3, 4, 5], slice_seed=0, r_probe=10, r_out=4)
         assert stack.views.shape == (5, 4, 4)
-        copy = stack.as_array()
-        copy[...] = -1.0
+        view = stack.as_array()
+        with pytest.raises(ValueError, match="read-only"):
+            view[...] = -1.0
         assert stack.views.min() >= 0.0
+
+    def test_as_array_is_a_read_only_view_of_the_views(self):
+        stack = build_soo_stack("sphere", 2, instance_seeds=[1, 2, 3, 4, 5], slice_seed=0, r_probe=10, r_out=4)
+        view = stack.as_array()
+        assert np.shares_memory(view, stack.views) and view.tobytes() == stack.views.tobytes()
+        assert view.dtype == np.float64 and view.shape == (5, 4, 4) and not view.flags.writeable
+        assert stack.views.flags.writeable
 
     def test_needs_five_seeds(self):
         with pytest.raises(ContractError):
