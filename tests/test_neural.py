@@ -648,8 +648,8 @@ class TestChunkedEncoder:
         rng = np.random.default_rng(0)
         peaks = []
         for n in (8, 64):
-            stacks, dims, targets = [rng.random((n, 5, 48, 48)) for _ in range(stack_count)], np.full(n, 2.0), \
-                rng.random((n, 3))
+            stacks = [rng.random((n, 5, 48, 48)) for _ in range(stack_count)]
+            dims, targets = np.full(n, 2.0), rng.random((n, 3))
             peaks.append(traced_peak(lambda: model.loss_and_grads(stacks, dims, targets)))
         assert abs(peaks[1] - peaks[0]) <= neural.ENCODER_CHUNK_BYTES + sum(x.size for x in stacks)
 
