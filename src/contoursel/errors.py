@@ -5,14 +5,14 @@ ValueError, so callers can tell bad input from bad data and from divergence.
 A violated precondition, such as a wrong shape or a non-integer count, is a
 ContractError; data that is unusable as numbers is a DataError.  The checks
 below raise them: require_integer, require_type and seeded_rng a
-ContractError naming the argument, float_array a DataError for input numpy
-cannot convert, finite_array also for NaN or inf.  is_integer and is_real
-only answer True or False.  A count an entry point takes (a dimension, a
-resolution, a width, a level count) is at most COUNT_MAX, so a count that
-no C long, float or array dimension holds is refused by name.  opened
-opens every file the toolkit reads or writes: a path that is not a str,
-bytes or os.PathLike and an OSError become a ContractError, text that is
-not UTF-8 a ParseError.
+ContractError naming the argument, float_array a DataError for None and for
+input numpy cannot convert, finite_array also for NaN or inf.  is_integer
+and is_real only answer True or False.  A count an entry point takes (a
+dimension, a resolution, a width, a level count) is at most COUNT_MAX, so a
+count that no C long, float or array dimension holds is refused by name.
+opened opens every file the toolkit reads or writes: a path that is not a
+str, bytes or os.PathLike and an OSError become a ContractError, text that
+is not UTF-8 a ParseError.
 """
 
 import contextlib
@@ -114,7 +114,10 @@ def seeded_rng(name: str, seed, *salt: int) -> "np.random.Generator":
 
 def float_array(value, what: str) -> np.ndarray:
     """value as a float64 array; DataError naming what when numpy cannot
-    convert it (text, ragged nesting, objects)."""
+    convert it (text, ragged nesting, objects) and for None, which numpy
+    would turn into a NaN scalar."""
+    if value is None:
+        raise DataError(f"{what} must be numbers, got None")
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:

@@ -21,10 +21,10 @@ samples at a time (see ENCODER_CHUNK_BYTES): each slot's images of the
 group go through every conv block and the global average pool before the
 next group starts, so a pass holds one group's feature maps however large
 the batch, and conv0's zero padding is the only copy of a chunk's images.
-The embeddings are concatenated in slot order and then view order.  A
-training step runs each group's forward and backward pass back to back,
-so it too holds one group's caches at a time, and then runs the head once
-more over the whole batch for the loss and the head's gradients.
+Model._encode runs one group and orders its embeddings by slot, then view.
+A training step runs each group's encoder, head and backward back to back,
+so it too holds one group's caches, then runs the head once more over the
+whole batch for the loss and the head's gradients.
 """
 
 from __future__ import annotations
@@ -397,14 +397,14 @@ class Model:
     The encoder runs conv blocks (conv-maxpool-relu), then global average
     pooling; max pooling and ReLU commute, outputs and gradients included,
     so pooling first gives the same model and runs the ReLU on a quarter of
-    the values.  It runs over one group of samples at a time (see
-    ENCODER_CHUNK_BYTES) and one slot's images of the group at a time, read
-    in place from the caller's stack, and writes the group's rows of one
-    (slot, sample, embedding) array.  The backward pass of a group runs the
-    head backward, then the encoder slot by slot, and the weight gradients
-    add up the chunks' sums.  The embedding width is independent of the
-    input resolution, so one head serves every probe/input resolution.  The
-    head runs dense-relu layers, then a linear output layer."""
+    the values.  _encode runs it over one group of samples (see
+    ENCODER_CHUNK_BYTES), one slot's images at a time, read in place from
+    the caller's stack, and returns the group's head-input rows.  A group's
+    backward pass runs the head backward, then the encoder slot by slot,
+    and the weight gradients add up the groups' sums.  The embedding width
+    is independent of the input resolution, so one head serves every
+    probe/input resolution.  The head runs dense-relu layers, then a linear
+    output layer."""
 
     def __init__(self, spec: ModelSpec, seed: int):
         require_type("spec", spec, ModelSpec)
@@ -459,36 +459,34 @@ class Model:
         merge (x[:, :5] of 7 views) once per group; either predicts the bits
         of its copy.
         """
-        return self._forward(stacks, dims, need_cache=False)
-
-    def _forward(self, stacks, dims, *, need_cache: bool):
-        """forward_batch's predictions and, with need_cache, the caches
-        backward_batch consumes: the encoder's per-chunk caches, the head
-        input and the head's caches; (predictions, None) without."""
-        spec = self.spec
         stacks, dims = _samples(stacks, dims)
         self._require_layout(stacks)
-        n, r, width = len(dims), stacks[0].shape[2], spec.embedding_width
-        per_slot = width // len(stacks)
-        embedding = np.empty((len(stacks), n, per_slot))
-        chunks = []
-        for rows in self._groups(n, r):
-            for slot, x in enumerate(stacks):
-                # the group's channel-last images, a view of the stack: one per view or one per sample
-                x = x[rows].reshape(-1, r, r, 1) if spec.variant == "separate" else x[rows].transpose(0, 2, 3, 1)
-                blocks = []
-                for w, b in self.convs:
-                    x, conv = conv2d_forward(x, w.value, b.value, need_cache=need_cache)
-                    x, pool = maxpool2x2_forward(x, need_cache=need_cache)
-                    x, relu = relu_forward(x, need_cache=need_cache)
-                    blocks.append((conv, pool, relu))
-                x, gap = global_avg_pool_forward(x, need_cache=need_cache)
-                embedding[slot, rows] = x.reshape(-1, per_slot)
-                chunks.append((slot, rows, blocks, gap))
-        # each sample's embeddings in slot order, then view order
-        x = np.concatenate([embedding.transpose(1, 0, 2).reshape(n, width), dims[:, None] * DIMENSION_SCALE], axis=1)
-        y, head = self._head(x, need_cache=need_cache)
-        return y, (chunks, x, head) if need_cache else None
+        inputs = np.empty((len(dims), self.spec.embedding_width + 1))
+        for rows in self._groups(len(dims), stacks[0].shape[2]):
+            inputs[rows] = self._encode(stacks, dims, rows, need_cache=False)[0]
+        return self._head(inputs, need_cache=False)
+
+    def _encode(self, stacks, dims, rows, *, need_cache: bool):
+        """The head-input rows of the sample group rows of a checked batch:
+        each slot's embeddings in slot order and then view order, then
+        dims[rows] * DIMENSION_SCALE.  With need_cache, also each slot's
+        encoder caches for backward_batch; None without."""
+        embeddings, caches = [], []
+        for x in stacks:
+            # the group's channel-last images, a view of the stack: one per view or one per sample
+            x = x[rows]
+            x = x.reshape(-1, *x.shape[2:], 1) if self.spec.variant == "separate" else x.transpose(0, 2, 3, 1)
+            blocks = []
+            for w, b in self.convs:
+                x, conv = conv2d_forward(x, w.value, b.value, need_cache=need_cache)
+                x, pool = maxpool2x2_forward(x, need_cache=need_cache)
+                x, relu = relu_forward(x, need_cache=need_cache)
+                blocks.append((conv, pool, relu))
+            x, gap = global_avg_pool_forward(x, need_cache=need_cache)
+            embeddings.append(x.reshape(-1, self.spec.embedding_width // len(stacks)))
+            caches.append((blocks, gap))
+        x = np.concatenate([*embeddings, dims[rows, None] * DIMENSION_SCALE], axis=1)
+        return x, caches if need_cache else None
 
     def _head(self, x, *, need_cache: bool):
         """The head's dense-relu layers and linear output layer over the head
@@ -514,21 +512,19 @@ class Model:
         return g
 
     def backward_batch(self, gpred, cache):
-        """Accumulate parameter gradients; augments .grad on every Param.
-        cache is what _forward returned with need_cache=True.  The head
-        runs backward once, then the encoder once per chunk of the
-        forward pass.  One statement per step frees each gradient once the
-        next has read it."""
+        """Accumulate one sample group's parameter gradients; augments .grad
+        on every Param.  cache is (encoder caches, head caches): what
+        _encode and then _head returned with need_cache=True.  The head runs
+        backward, then the encoder once per slot.  One statement per step
+        frees each gradient once the next has read it."""
         require_type("gpred", gpred, np.ndarray)
         require_type("cache", cache, tuple)
-        chunks, _, head = cache
+        encoder, head = cache
         g = self._head_backward(gpred, head)
         # the last column, the dimension feature, carries no parameters; the
-        # rest goes back to the forward pass's (slot, sample, embedding) layout
-        spec = self.spec
-        g = g[:, :-1].reshape(len(g), spec.stack_count, spec.embedding_width // spec.stack_count).transpose(1, 0, 2)
-        for slot, rows, blocks, gap in chunks:
-            x = global_avg_pool_backward(g[slot, rows].reshape(-1, spec.encoder_channels[-1]), gap)
+        # rest is one column block per slot
+        for (blocks, gap), x in zip(encoder, np.split(g[:, :-1], len(encoder), axis=1)):
+            x = global_avg_pool_backward(x.reshape(-1, self.spec.encoder_channels[-1]), gap)
             for i in reversed(range(len(self.convs))):
                 conv, pool, relu = blocks[i]
                 x = relu_backward(x, relu)
@@ -538,15 +534,16 @@ class Model:
 
     def loss_and_grads(self, stacks, dims, targets):
         """Mean squared error of one batch; the gradients land in .grad.
-        targets must be finite numbers of shape (n, output_count) for a
-        batch of n >= 1 samples, or ContractError before any pass runs.
+        targets must be finite numbers of shape (n, output_count), or
+        ContractError before any pass runs; an empty batch is refused by
+        mse_loss with every gradient zero.
 
-        Each group of samples (see ENCODER_CHUNK_BYTES) runs its forward and
-        its backward pass back to back, so a step holds one group's caches
-        however large the batch.  A group's prediction gradient is scaled by
-        the whole batch's size, so the encoder's gradients add up to the
-        batch's.  The head then runs once more, forward and backward, over
-        the whole batch's head inputs: that pass replaces the head
+        Each group of samples (see ENCODER_CHUNK_BYTES) runs its encoder,
+        head and backward pass back to back, so a step holds one group's
+        caches however large the batch.  A group's prediction gradient is
+        scaled by the whole batch's size, so the encoder's gradients add up
+        to the batch's.  The head then runs once more, forward and backward,
+        over the whole batch's head inputs: that pass replaces the head
         gradients the groups added, and gives the loss and the head's
         gradients the bits of one whole-batch pass."""
         targets = finite_array(targets, "training targets")
@@ -557,14 +554,13 @@ class Model:
         n, m = len(dims), self.spec.output_count
         if targets.shape != (n, m):
             raise ContractError(f"targets of shape {targets.shape} for {n} sample(s) of {m} output(s); want ({n}, {m})")
-        if n == 0:
-            raise ContractError("no predictions to score: the mean squared error of an empty batch is undefined")
         inputs = np.empty((n, self.spec.embedding_width + 1))
         for rows in self._groups(n, stacks[0].shape[2]):
-            pred, cache = self._forward([x[rows] for x in stacks], dims[rows], need_cache=True)
-            inputs[rows] = cache[1]
-            self.backward_batch(_mse_gradient(pred - targets[rows], targets.size), cache)
-            del cache  # the group's caches go before the next group's forward
+            x, encoder = self._encode(stacks, dims, rows, need_cache=True)
+            inputs[rows] = x
+            pred, head = self._head(x, need_cache=True)
+            self.backward_batch(_mse_gradient(pred - targets[rows], targets.size), (encoder, head))
+            del encoder  # the group's caches go before the next group's encoder pass
         for w, b in self.denses:
             w.grad[...] = b.grad[...] = 0.0
         pred, head = self._head(inputs, need_cache=True)

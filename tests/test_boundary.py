@@ -285,6 +285,25 @@ def test_a_count_too_large_for_a_machine_integer_is_named(call, name):
         call()
 
 
+# numpy reads None as a NaN scalar, so without its own refusal a missing
+# argument would be reported as bad data
+NONE_ARRAYS = {
+    "forward-dims": lambda: MODEL.forward_batch([STACK], None),
+    "normalize": lambda: normalize(None),
+    "quantize-levels": lambda: quantize_levels(None, 4),
+    "transform-targets": lambda: transform_targets("relhv_clip", None),
+    "hypervolume-points": lambda: hypervolume_2d(None, (1.0, 1.0)),
+    "evaluate-soo-points": lambda: evaluate_soo_batch(SOO, None),
+    "resize-bilinear": lambda: resize_bilinear(None, 4),
+}
+
+
+@pytest.mark.parametrize("call", NONE_ARRAYS.values(), ids=NONE_ARRAYS.keys())
+def test_a_missing_array_is_refused_by_name(call):
+    with pytest.raises(DataError, match="must be numbers, got None$"):
+        call()
+
+
 def saved_container(tmp, edit):
     """The path of MODEL saved under tmp, its JSON container changed by edit."""
     path = tmp / "model.json"
@@ -317,7 +336,8 @@ TYPED_REFUSALS = {
     "mse-lists": (lambda tmp: mse_loss([1.0], [1.0]), ContractError, "^pred must be a ndarray, got list$"),
     "backward-no-cache": (lambda tmp: MODEL.backward_batch(np.zeros((1, 2)), None),
                           ContractError, "^cache must be a tuple, got NoneType$"),
-    "backward-no-gradient": (lambda tmp: MODEL.backward_batch(None, MODEL._forward([STACK], [2.0], need_cache=True)[1]),
+    # gpred is refused before the cache is read
+    "backward-no-gradient": (lambda tmp: MODEL.backward_batch(None, ()),
                              ContractError, "^gpred must be a ndarray, got NoneType$"),
     "rel-hv-text": (lambda tmp: rel_hv("a", 1.0, 2.0), DataError, "hypervolumes must be numbers"),
     "transform-unknown-kind": (lambda tmp: transform_targets("x", [1.0]), ContractError, "unknown target transform"),

@@ -403,18 +403,46 @@ class TestModelShapes:
     @pytest.mark.parametrize("stack_count", [1, 2])
     def test_prediction_pass_gives_the_training_forward_bits(self, variant, stack_count):
         """forward_batch keeps no cache; its predictions are the bits of the
-        cached forward that training runs, at an odd resolution where every
-        pool drops a row and a column."""
+        cached encoder and head passes that training runs, at an odd
+        resolution where every pool drops a row and a column, and a step's
+        loss is the loss of those predictions."""
         spec = ModelSpec(variant=variant, input_resolution=11, output_count=3, stack_count=stack_count,
                          encoder_channels=(4, 6), head_widths=(8,))
         model = Model(spec, seed=2)
         rng = np.random.default_rng(stack_count)
         stacks = [rng.standard_normal((3, 5, 11, 11)) for _ in range(stack_count)]
         dims = np.array([2.0, 5.0, 10.0])
+        targets = rng.standard_normal((3, 3))
         pred, none = model.forward_batch(stacks, dims)
-        want, cache = model._forward(stacks, dims, need_cache=True)
-        assert none is None and cache is not None
+        x, encoder = model._encode(stacks, dims, slice(None), need_cache=True)
+        want, head = model._head(x, need_cache=True)
+        assert none is None and len(encoder) == stack_count and head is not None
         assert pred.tobytes() == want.tobytes()
+        assert model.loss_and_grads(stacks, dims, targets) == mse_loss(pred, targets)[0]
+
+    def test_a_call_checks_its_batch_once(self, monkeypatch):
+        """forward_batch and loss_and_grads check the whole batch once, not
+        once more per sample group."""
+        monkeypatch.setattr(neural, "ENCODER_CHUNK_BYTES", 1)  # one sample per group
+        model = Model(ModelSpec(variant="separate", input_resolution=8, output_count=2, encoder_channels=(2, 3),
+                                head_widths=(4,)), seed=0)
+        stacks, dims = [np.random.default_rng(0).random((3, 5, 8, 8))], [2.0, 3.0, 4.0]
+        assert len(model._groups(3, 8)) == 3
+        calls, samples = {}, neural._samples
+        monkeypatch.setattr(neural, "_samples", counting(calls, "forward_batch", samples))
+        model.forward_batch(stacks, dims)
+        monkeypatch.setattr(neural, "_samples", counting(calls, "loss_and_grads", samples))
+        model.loss_and_grads(stacks, dims, np.zeros((3, 2)))
+        assert calls == {"forward_batch": 1, "loss_and_grads": 1}
+
+    def test_an_empty_batch_is_refused_with_every_gradient_zero(self):
+        model = Model(ModelSpec(variant="combined", input_resolution=8, output_count=2, encoder_channels=(2, 3),
+                                head_widths=(4,)), seed=0)
+        stack = np.random.default_rng(0).random((2, 5, 8, 8))
+        model.loss_and_grads([stack], [2.0, 3.0], [[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ContractError, match="^no predictions to score: "):
+            model.loss_and_grads([stack[:0]], [], np.zeros((0, 2)))
+        assert not any(p.grad.any() for p in model.params())
 
     def test_a_model_built_before_a_patch_calls_the_patched_primitives(self, monkeypatch):
         """The model looks each primitive up in neural's globals at call
