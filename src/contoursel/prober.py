@@ -1,12 +1,14 @@
 """Landscape probing: grid evaluation to normalized contour stacks.
 
 A problem instance is turned into grayscale contour fields by evaluating it
-on a uniform 2-D grid (a random axis-aligned slice when d > 2), normalizing
-each field to [0, 1], emulating a filled-contour rendering by level
-quantization, and resizing to the CNN input resolution.  Each field is an
-(r, r) float64 array.  Five views are stacked per configuration into one
-(5, r, r) array; bi-objective instances instead probe five sampled
-rectangular windows per repetition, once per objective.
+on a uniform 2-D grid (a random axis-aligned slice when d > 2; the grid is
+handed to the evaluator in open form, one coordinate array per dimension,
+so no (r*r, d) point matrix is built), normalizing each field to [0, 1],
+emulating a filled-contour rendering by level quantization, and resizing
+to the CNN input resolution.  Each field is an (r, r) float64 array.
+Five views are stacked per configuration into one (5, r, r) array;
+bi-objective instances instead probe five sampled rectangular windows per
+repetition, once per objective.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import (
 from .suite import (
     DOMAIN_HI,
     DOMAIN_LO,
+    OpenGrid,
     ProblemId,
     ProblemInstance,
     evaluate_moo_batch,
@@ -85,9 +88,10 @@ def plan_slice(d: int, rng: np.random.Generator) -> tuple[int, int]:
     return int(pair.min()), int(pair.max())
 
 
-def _grid_points(inst: ProblemInstance, axes: tuple[int, int], r: int, window: Window):
-    """(r*r, d) evaluation points for the grid, the second slice coordinate
-    as the slow (row) index; column-major, so each coordinate is contiguous."""
+def _grid(inst: ProblemInstance, axes: tuple[int, int], r: int, window: Window) -> OpenGrid:
+    """The endpoint-inclusive r x r grid over window in open form: the
+    first slice coordinate varies along the columns (shape (1, r)), the
+    second along the rows (shape (r, 1)), and every other coordinate is 0."""
     require_integer("grid resolution", r, 2, COUNT_MAX)
     d = inst.dimension
     if not (
@@ -95,23 +99,22 @@ def _grid_points(inst: ProblemInstance, axes: tuple[int, int], r: int, window: W
         and all(is_integer(axis, 0) and axis < d for axis in axes) and axes[0] != axes[1]
     ):
         raise ContractError(f"slice axes must be two different coordinates in [0, {d}), got {axes!r}")
-    ax_a = np.linspace(window.lo[0], window.lo[0] + window.side[0], r)
-    ax_b = np.linspace(window.lo[1], window.lo[1] + window.side[1], r)
-    pts = np.zeros((d, r, r))
-    pts[axes[0]] = ax_a
-    pts[axes[1]] = ax_b[:, None]
-    return pts.reshape(d, r * r).T
+    coords = [np.zeros((1, 1))] * d
+    coords[axes[0]] = np.linspace(window.lo[0], window.lo[0] + window.side[0], r)[None, :]
+    coords[axes[1]] = np.linspace(window.lo[1], window.lo[1] + window.side[1], r)[:, None]
+    return OpenGrid(tuple(coords))
 
 
 def probe_grid(inst: ProblemInstance, axes: tuple[int, int], r: int) -> np.ndarray:
     """Evaluate a SOO instance on an endpoint-inclusive r x r grid over the
     full domain, spanned by the slice coordinates axes = (i, j) with every
     other coordinate at 0; entry [b, a] holds the point with the a-th value
-    of coordinate i and the b-th of coordinate j (both ascending).  The
-    field costs its size, r * r, in evaluations."""
+    of coordinate i and the b-th of coordinate j (both ascending).  The grid
+    goes to evaluate_soo_batch in open form, so each per-coordinate term is
+    computed on r values and only the sums after the last slice coordinate
+    on r * r.  The field costs its size, r * r, in evaluations."""
     require_instance(inst, "soo", "probe_grid")
-    pts = _grid_points(inst, axes, r, FULL_DOMAIN)
-    return evaluate_soo_batch(inst, pts).reshape(r, r)
+    return evaluate_soo_batch(inst, _grid(inst, axes, r, FULL_DOMAIN))
 
 
 def probe_grid_moo(
@@ -120,7 +123,7 @@ def probe_grid_moo(
     """Evaluate both objectives of a MOO instance over the same grid."""
     require_instance(inst, "moo", "probe_grid_moo")
     require_type("window", window, Window)
-    f1, f2 = evaluate_moo_batch(inst, _grid_points(inst, (0, 1), r, window)).T
+    f1, f2 = evaluate_moo_batch(inst, _grid(inst, (0, 1), r, window).points()).T
     return f1.reshape(r, r), f2.reshape(r, r)
 
 

@@ -8,6 +8,7 @@ usual benchmark suite at desk scale.  All decision variables live in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,9 @@ MOO_FUNCTIONS = ("zdt1", "zdt2", "zdt3", "bi_sphere")
 SOO_DIMENSIONS = (2, 3, 5, 10)
 MOO_DIMENSION = 2
 
-# Points per evaluation block: a block's coordinates and the formulas'
-# temporaries stay in cache (4096 to 16384 timed alike, 65536 slower).
+# Points per evaluation block of a (n, d) batch: a block's coordinates and
+# the formulas' temporaries stay in cache (4096 to 16384 timed alike, 65536
+# slower).  An OpenGrid is evaluated whole.
 BLOCK_POINTS = 8192
 
 # Group analogy: 1 separable, 2 low-conditioned valley, 3 high-conditioned,
@@ -88,7 +90,8 @@ class ProblemId:
 class ProblemInstance:
     """A concrete instance: id plus the sampled shifts.
 
-    Immutable after construction; evaluation is pure, so instances are safe
+    Immutable after construction: make_instance returns x_opt and the
+    centers as read-only arrays.  Evaluation is pure, so instances are safe
     to share across threads.
     """
 
@@ -121,66 +124,89 @@ def make_instance(pid: ProblemId, seed: int) -> ProblemInstance:
     salt = (_KIND_CODE[pid.kind], _FUNCTION_CODE[pid.function_code], pid.dimension, pid.instance_index)
     rng = seeded_rng("instance seed", seed, *salt)
     if pid.kind == "soo":
-        x_opt = rng.uniform(SHIFT_LO, SHIFT_HI, size=pid.dimension)
+        x_opt = _read_only(rng.uniform(SHIFT_LO, SHIFT_HI, size=pid.dimension))
         f_opt = float(rng.uniform(-100.0, 100.0))
         return ProblemInstance(id=pid, seed=int(seed), x_opt=x_opt, f_opt=f_opt)
     if pid.function_code == "bi_sphere":
-        a = rng.uniform(SHIFT_LO, SHIFT_HI, size=2)
-        b = rng.uniform(SHIFT_LO, SHIFT_HI, size=2)
+        a = _read_only(rng.uniform(SHIFT_LO, SHIFT_HI, size=2))
+        b = _read_only(rng.uniform(SHIFT_LO, SHIFT_HI, size=2))
         return ProblemInstance(id=pid, seed=int(seed), x_opt=None, f_opt=None, centers=(a, b))
     return ProblemInstance(id=pid, seed=int(seed), x_opt=None, f_opt=None)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 # ---------------------------------------------------------------------------
-# Single-objective formulas.  Each takes the shifted coordinates z of shape
-# (d, n), one row per coordinate, and returns (n,) values with minimum 0 at
-# z = 0 (rosenbrock: z = 1).  The builtin sum adds whole rows in order for
-# any n; np.sum(axis=0) would add a lone column pairwise.
+# Single-objective formulas.  Each takes the shifted coordinates z as d rows,
+# one per coordinate, that broadcast together: the (m,) rows of a block of
+# points, or an OpenGrid's rows, where a term is computed on the values of
+# its own coordinate only.  Each returns the broadcast shape's values, with
+# minimum 0 at z = 0 (rosenbrock: z = 1).  Rows are added whole and in
+# order, as the builtin sum adds them, for any shape, so a grid point gets
+# the bits it gets in a block; np.sum(axis=0) would add a lone column
+# pairwise.
+
+
+def _fold(ufunc, start, rows):
+    """start, then ufunc with each row in order, as the builtin sum folds.
+    Once the running value is an array of the whole's shape it is updated
+    in place, so a fold holds one such array at a time; an array start is
+    written into, so it must be the caller's own."""
+    acc = start
+    for row in rows:
+        if isinstance(acc, np.ndarray) and acc.shape == np.broadcast_shapes(acc.shape, row.shape):
+            ufunc(acc, row, out=acc)
+        else:
+            acc = ufunc(acc, row)
+    return acc
+
+
+def _sum(rows):
+    return _fold(np.add, 0, rows)
 
 
 def _sphere(z):
-    return sum(z * z)
+    return _sum(x * x for x in z)
 
 
 def _ellipsoid(z):
     d = len(z)
     weights = 10.0 ** (6.0 * np.arange(d) / (d - 1))
-    return sum(weights[:, None] * z * z)
+    return _sum(w * x * x for w, x in zip(weights, z))
 
 
 def _rastrigin(z):
     d = len(z)
-    return 10.0 * (d - sum(np.cos(2.0 * np.pi * z))) + sum(z * z)
+    return 10.0 * (d - _sum(np.cos(2.0 * np.pi * x) for x in z)) + _sum(x * x for x in z)
 
 
 def _rosenbrock(z):
-    a = z[:-1]
-    b = z[1:]
-    return sum(100.0 * (a * a - b) ** 2 + (a - 1.0) ** 2)
+    return _sum(100.0 * (a * a - b) ** 2 + (a - 1.0) ** 2 for a, b in zip(z, z[1:]))
 
 
+# head + tail as tail + head, the same bits, so the head is added into the
+# tail's fresh array when that one has the shape of the whole
 def _discus(z):
-    return 1e6 * z[0] ** 2 + sum(z[1:] ** 2)
+    return _fold(np.add, _sum(x**2 for x in z[1:]), [1e6 * z[0] ** 2])
 
 
 def _bent_cigar(z):
-    return z[0] ** 2 + 1e6 * sum(z[1:] ** 2)
+    return _fold(np.add, 1e6 * _sum(x**2 for x in z[1:]), [z[0] ** 2])
 
 
 def _griewank(z):
-    d = len(z)
-    idx = np.sqrt(np.arange(1, d + 1, dtype=float))
-    return (
-        sum(z * z) / 4000.0
-        - np.prod(np.cos(z / idx[:, None]), axis=0)
-        + 1.0
-    )
+    idx = np.sqrt(np.arange(1, len(z) + 1, dtype=float))
+    # the product multiplies rows in order, as np.prod(axis=0) did
+    return _sum(x * x for x in z) / 4000.0 - _fold(np.multiply, 1, (np.cos(x / i) for x, i in zip(z, idx))) + 1.0
 
 
 def _ackley(z):
     d = len(z)
-    rms = np.sqrt(sum(z * z) / d)
-    mean_cos = sum(np.cos(2.0 * np.pi * z)) / d
+    rms = np.sqrt(_sum(x * x for x in z) / d)
+    mean_cos = _sum(np.cos(2.0 * np.pi * x) for x in z) / d
     return -20.0 * np.exp(-0.2 * rms) - np.exp(mean_cos) + 20.0 + np.e
 
 
@@ -191,6 +217,44 @@ _SOO_FORMULAS = {f.__name__[1:]: f for f in (
 )}
 SOO_FUNCTIONS = tuple(_SOO_FORMULAS)
 _FUNCTION_CODE = {name: i for i, name in enumerate(SOO_FUNCTIONS + MOO_FUNCTIONS)}
+
+
+@dataclass(frozen=True, eq=False)
+class OpenGrid:
+    """Grid points in open form, as np.ogrid gives them: coords holds one
+    finite coordinate array per dimension, and the arrays broadcast together
+    to the grid's shape, so a coordinate that varies along one grid axis
+    holds that axis' values only.  The arrays are kept as read-only copies,
+    a number as a one-value array.  len(grid) is its number of points, and
+    evaluate_soo_batch returns one value per point in the grid's shape."""
+
+    coords: tuple
+    shape: tuple = field(init=False)
+
+    def __post_init__(self):
+        require_type("coords", self.coords, tuple)
+        if not self.coords:
+            raise ContractError("a grid needs at least one coordinate")
+        arrays = tuple(_read_only(np.atleast_1d(finite_array(c, "grid coordinates")).copy()) for c in self.coords)
+        shapes = [a.shape for a in arrays]
+        try:
+            shape = np.broadcast_shapes(*shapes)
+        except ValueError as exc:
+            raise ContractError(f"grid coordinates of shapes {shapes} do not broadcast together") from exc
+        object.__setattr__(self, "coords", arrays)
+        object.__setattr__(self, "shape", shape)
+
+    def __len__(self) -> int:
+        return math.prod(self.shape)
+
+    def points(self) -> np.ndarray:
+        """The (n, d) points, n = len(self), in the grid's C order; each
+        coordinate is one contiguous column."""
+        d = len(self.coords)
+        pts = np.empty((d, *self.shape))
+        for row, c in zip(pts, self.coords):
+            row[...] = c
+        return pts.reshape(d, len(self)).T
 
 
 def _batch_points(xs, d: int) -> np.ndarray:
@@ -208,16 +272,29 @@ def _blocks(xs):
         yield blk, xs[blk].T
 
 
-def evaluate_soo_batch(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a (n, d) batch of finite points on a single-objective instance."""
+def _soo_values(inst: ProblemInstance, rows):
+    """The instance's formula on coordinate rows, before the f_opt shift."""
+    z = [row - x for row, x in zip(rows, inst.x_opt)]
+    if inst.id.function_code == "rosenbrock":
+        for row in z:
+            row += 1.0
+    return _SOO_FORMULAS[inst.id.function_code](z)
+
+
+def evaluate_soo_batch(inst: ProblemInstance, xs) -> np.ndarray:
+    """Evaluate a single-objective instance on a (n, d) batch of finite
+    points, into (n,) values, or on an OpenGrid of d coordinates, into one
+    value per grid point in the grid's shape."""
     require_instance(inst, "soo", "evaluate_soo_batch")
-    xs = _batch_points(xs, inst.dimension)
-    out = np.empty(len(xs))
-    for blk, rows in _blocks(xs):
-        z = np.subtract(rows, inst.x_opt[:, None], order="C")
-        if inst.id.function_code == "rosenbrock":
-            z += 1.0
-        out[blk] = _SOO_FORMULAS[inst.id.function_code](z)
+    if isinstance(xs, OpenGrid):
+        if len(xs.coords) != inst.dimension:
+            raise ContractError(f"expected a grid of {inst.dimension} coordinates, got {len(xs.coords)}")
+        out = _soo_values(inst, xs.coords)
+    else:
+        xs = _batch_points(xs, inst.dimension)
+        out = np.empty(len(xs))
+        for blk, rows in _blocks(xs):
+            out[blk] = _soo_values(inst, rows)
     out += inst.f_opt
     return out
 

@@ -55,6 +55,7 @@ from contoursel.prober import (
     write_pgm,
 )
 from contoursel.suite import (
+    OpenGrid,
     ProblemId,
     evaluate_moo_batch,
     evaluate_soo_batch,
@@ -351,6 +352,20 @@ TYPED_REFUSALS = {
         ParseError, "encoder_channels"),
     "problem-id-kind": (lambda tmp: ProblemId(kind="x", function_code="sphere", dimension=2, instance_index=0),
                         InvalidProblemError, "unknown kind 'x'"),
+    # a grid is refused by name, never by the bare ValueError of np.broadcast_shapes
+    "open-grid-list": (lambda tmp: OpenGrid([np.zeros(2), np.zeros(2)]), ContractError,
+                       "^coords must be a tuple, got list$"),
+    "open-grid-text": (lambda tmp: OpenGrid(TEXT), ContractError, "^coords must be a tuple, got str$"),
+    "open-grid-text-coordinates": (lambda tmp: OpenGrid(("a", "b")), DataError, "^grid coordinates must be numbers"),
+    "open-grid-nan": (lambda tmp: OpenGrid((np.array([0.0, np.nan]), np.zeros((1, 1)))), DataError,
+                      r"^grid coordinates: not finite \(NaN or inf\)$"),
+    "open-grid-inf": (lambda tmp: OpenGrid((np.zeros((1, 1)), np.array([[np.inf]]))), DataError,
+                      r"^grid coordinates: not finite \(NaN or inf\)$"),
+    "open-grid-no-broadcast": (lambda tmp: OpenGrid((np.zeros((1, 3)), np.zeros((1, 2)))), ContractError,
+                               r"^grid coordinates of shapes \[\(1, 3\), \(1, 2\)\] do not broadcast together$"),
+    "open-grid-empty": (lambda tmp: OpenGrid(()), ContractError, "^a grid needs at least one coordinate$"),
+    "soo-batch-grid-arity": (lambda tmp: evaluate_soo_batch(SOO, OpenGrid((np.zeros(3),) * 3)), ContractError,
+                             "^expected a grid of 2 coordinates, got 3$"),
 }
 
 
@@ -371,6 +386,18 @@ def test_an_integer_path_is_refused_before_it_is_opened(call):
     """open would take 0 as the file descriptor of standard input."""
     with pytest.raises(ContractError, match="^path must be a str or bytes or PathLike, got int$"):
         call(0)
+
+
+def test_a_tuple_of_point_tuples_is_a_batch_not_a_grid():
+    got = evaluate_soo_batch(SOO, ((1.0, 2.0), (3.0, 4.0)))
+    assert got.shape == (2,)
+    np.testing.assert_array_equal(got, evaluate_soo_batch(SOO, np.array([[1.0, 2.0], [3.0, 4.0]])))
+
+
+def test_a_grid_without_points_evaluates_to_an_empty_field():
+    grid = OpenGrid((np.zeros((0, 1)), np.zeros((1, 3))))
+    assert len(grid) == 0 and grid.points().shape == (0, 2)
+    assert evaluate_soo_batch(SOO, grid).shape == (0, 3)
 
 
 def test_a_window_rebuilds_from_its_json():

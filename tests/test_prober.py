@@ -1,5 +1,8 @@
 import copy
+import dataclasses
+import itertools
 import json
+import types
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from test_neural import traced_peak
 from test_suite import (
     SOO_CONFIGS,
     assert_matches_row_major_oracle,
@@ -31,7 +35,7 @@ from contoursel.prober import (
     sample_window,
     write_pgm,
 )
-from contoursel.suite import MOO_FUNCTIONS, ProblemId, make_instance
+from contoursel.suite import MOO_FUNCTIONS, SOO_FUNCTIONS, ProblemId, evaluate_soo_batch, make_instance
 
 
 def sphere_instance(d=2, seed=0, idx=0):
@@ -135,9 +139,7 @@ class TestPlanSlice:
 
 class TestProbeGrid:
     def test_grid_coordinates_r3(self):
-        inst = sphere_instance()
-        inst.x_opt[:] = 0.0
-        object.__setattr__(inst, "f_opt", 0.0)
+        inst = dataclasses.replace(sphere_instance(), x_opt=np.zeros(2), f_opt=0.0)
         f = probe_grid(inst, (0, 1), 3)
         # endpoint-inclusive grid over [-5, 5]: coordinates {-5, 0, 5}
         expected = np.array(
@@ -146,8 +148,7 @@ class TestProbeGrid:
         np.testing.assert_allclose(f, expected)
 
     def test_minimum_on_grid_center(self):
-        inst = sphere_instance()
-        inst.x_opt[:] = 0.0
+        inst = dataclasses.replace(sphere_instance(), x_opt=np.zeros(2))
         f = probe_grid(inst, (0, 1), 5)
         b, a = np.unravel_index(np.argmin(f), f.shape)
         assert (b, a) == (2, 2)
@@ -155,8 +156,8 @@ class TestProbeGrid:
 
     def test_row_is_second_coordinate(self):
         # a function increasing in x_1 only must vary along rows
-        inst = sphere_instance(d=2)
-        inst.x_opt[:] = [0.0, -100.0]  # optimum far below in x_1 direction
+        # optimum far below in x_1 direction
+        inst = dataclasses.replace(sphere_instance(d=2), x_opt=np.array([0.0, -100.0]))
         f = probe_grid(inst, (0, 1), 4)
         col = f[:, 0]
         assert np.all(np.diff(col) > 0)
@@ -188,8 +189,31 @@ class TestProbeGrid:
                 if i == j:
                     continue
                 for window in windows:
-                    got = prober._grid_points(inst, (i, j), 7, window)
+                    got = prober._grid(inst, (i, j), 7, window).points()
                     assert_same_bits(got, grid_points_oracle(inst, (i, j), 7, window))
+
+    @pytest.mark.parametrize("code, d", SOO_CONFIGS)
+    def test_open_grid_evaluates_to_the_bits_of_its_points(self, code, d):
+        inst = make_instance(ProblemId(kind="soo", function_code=code, dimension=d, instance_index=1), 8)
+        windows = [FULL_DOMAIN, sample_window(0.1, np.random.default_rng(d))]
+        for axes, r, window in itertools.product(itertools.permutations(range(d), 2), (2, 7, 41), windows):
+            grid = prober._grid(inst, axes, r, window)
+            got = evaluate_soo_batch(inst, grid)
+            assert len(grid) == r * r and got.shape == (r, r)
+            assert_same_bits(got, evaluate_soo_batch(inst, grid.points()).reshape(r, r))
+
+    @pytest.mark.parametrize("code", SOO_FUNCTIONS)
+    def test_probing_memory_does_not_grow_with_dimension(self, code):
+        """The grid goes to the evaluator in open form, so a 300 x 300 probe
+        holds no (r*r, d) point matrix: its peak at d = 10, over every
+        slice, is that of d = 2 up to small arrays, and under 3 MiB."""
+        def peak(d, axes):
+            inst = make_instance(ProblemId(kind="soo", function_code=code, dimension=d, instance_index=0), 1)
+            return traced_peak(lambda: probe_grid(inst, axes, 300))
+
+        base = peak(2, (0, 1))
+        worst = max(peak(10, axes) for axes in itertools.permutations(range(10), 2))
+        assert abs(worst - base) <= 64 * 1024 and worst < 3 * 2**20
 
     @pytest.mark.parametrize("code", MOO_FUNCTIONS)
     def test_moo_grid_matches_row_major_oracle(self, code):
@@ -504,7 +528,8 @@ class TestStacks:
 
         fast = stacks()
         monkeypatch.setattr(prober, "evaluate_moo_batch", moo_row_major_oracle)
-        monkeypatch.setattr(prober, "_grid_points", grid_points_oracle)
+        monkeypatch.setattr(prober, "_grid",
+                            lambda *args: types.SimpleNamespace(points=lambda: grid_points_oracle(*args)))
         monkeypatch.setattr(prober, "normalize", normalize_oracle)
         monkeypatch.setattr(prober, "quantize_levels", quantize_levels_oracle)
         monkeypatch.setattr(prober, "resize_bilinear", resize_bilinear_oracle)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from contoursel.suite import (
     MOO_FUNCTIONS,
     SOO_DIMENSIONS,
     SOO_FUNCTIONS,
+    OpenGrid,
     ProblemId,
     evaluate_moo_batch,
     evaluate_soo_batch,
@@ -64,7 +67,10 @@ _ROW_MAJOR = _row_major_formulas()
 
 
 def row_major_oracle(inst, xs):
-    """evaluate_soo_batch of a (n, d) batch, row-major and unblocked."""
+    """evaluate_soo_batch of a (n, d) batch, row-major and unblocked; an
+    OpenGrid is expanded into its points, and the values take its shape."""
+    if isinstance(xs, OpenGrid):
+        return row_major_oracle(inst, xs.points()).reshape(xs.shape)
     z = np.asarray(xs, dtype=float, order="C") - inst.x_opt
     if inst.id.function_code == "rosenbrock":
         z = z + 1.0
@@ -164,18 +170,19 @@ def test_shift_sampling_range():
     assert coords.min() < -3.9 and coords.max() > 3.9
 
 
+def unshifted(inst):
+    """inst with a zero shift in decision and objective space."""
+    return dataclasses.replace(inst, x_opt=np.zeros(inst.dimension), f_opt=0.0)
+
+
 def test_sphere_hand_value():
-    inst = make_instance(soo_id(), 0)
-    # force zero shift to check the raw formula
-    inst.x_opt[:] = 0.0
-    object.__setattr__(inst, "f_opt", 0.0)
+    # a zero shift checks the raw formula
+    inst = unshifted(make_instance(soo_id(), 0))
     assert evaluate_soo_batch(inst, [[3.0, 4.0]])[0] == 25.0
 
 
 def test_rosenbrock_hand_value():
-    inst = make_instance(soo_id("rosenbrock", 2), 0)
-    inst.x_opt[:] = 0.0
-    object.__setattr__(inst, "f_opt", 0.0)
+    inst = unshifted(make_instance(soo_id("rosenbrock", 2), 0))
     # z = x - x_opt + 1 = (1, 1) at the origin, so the valley bottom sits there
     assert evaluate_soo_batch(inst, [[0.0, 0.0]])[0] == 0.0
     # hand evaluation at x = (1, 0): z = (2, 1) -> 100*(4-1)^2 + (2-1)^2 = 901
@@ -186,9 +193,7 @@ def test_shift_covariance():
     rng = np.random.default_rng(5)
     for code in SOO_FUNCTIONS:
         shifted = make_instance(soo_id(code, 3), 11)
-        base = make_instance(soo_id(code, 3), 12)
-        base.x_opt[:] = 0.0
-        object.__setattr__(base, "f_opt", 0.0)
+        base = unshifted(make_instance(soo_id(code, 3), 12))
         xs = rng.uniform(-1, 1, size=(20, 3))
         lhs = evaluate_soo_batch(shifted, xs + shifted.x_opt)
         rhs = evaluate_soo_batch(base, xs) + shifted.f_opt
@@ -281,6 +286,33 @@ def test_numpy_integer_instance_seed_gives_the_same_instance(pid, seed, numpy_se
     assert type(got.seed) is int and got.seed == seed
     for a, b in ((want.x_opt, got.x_opt), (want.f_opt, got.f_opt), *zip(want.centers or (), got.centers or ())):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("pid", [soo_id("rastrigin", 5), moo_id("bi_sphere")], ids=["soo", "bi_sphere"])
+def test_instance_arrays_are_read_only(pid):
+    """A write to a shift would silently move every later evaluation."""
+    def shifts(inst):
+        return [inst.x_opt] if pid.kind == "soo" else list(inst.centers)
+
+    inst = make_instance(pid, 3)
+    for arr in shifts(inst):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:] = 0.0
+    assert [a.tobytes() for a in shifts(inst)] == [a.tobytes() for a in shifts(make_instance(pid, 3))]
+
+
+def test_open_grid_keeps_read_only_copies():
+    ax = np.linspace(-1.0, 1.0, 3)
+    grid = OpenGrid((ax[None, :], 0.5, ax[:, None]))
+    ax[:] = 9.0
+    assert grid.shape == (3, 3) and len(grid) == 9 and grid.coords[1].shape == (1,)
+    assert grid.coords[0].max() == 1.0 and not any(c.flags.writeable for c in grid.coords)
+    pts = grid.points()
+    assert pts.shape == (9, 3) and pts[:, 0].flags.c_contiguous
+    np.testing.assert_array_equal(pts[:4], [[-1.0, 0.5, -1.0], [0.0, 0.5, -1.0], [1.0, 0.5, -1.0], [-1.0, 0.5, 0.0]])
+    # rosenbrock shifts its rows in place, which a number coordinate must survive
+    inst = make_instance(soo_id("rosenbrock", 3), 2)
+    assert_same_bits(evaluate_soo_batch(inst, grid), evaluate_soo_batch(inst, pts).reshape(3, 3))
 
 
 def test_batch_matches_scalar():
