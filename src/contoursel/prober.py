@@ -1,14 +1,14 @@
 """Landscape probing: grid evaluation to normalized contour stacks.
 
 A problem instance is turned into grayscale contour fields by evaluating it
-on a uniform 2-D grid (a random axis-aligned slice when d > 2; the grid is
-handed to the evaluator in open form, one coordinate array per dimension,
-so no (r*r, d) point matrix is built), normalizing each field to [0, 1],
-emulating a filled-contour rendering by level quantization, and resizing
-to the CNN input resolution.  Each field is an (r, r) float64 array.
-Five views are stacked per configuration into one (5, r, r) array;
-bi-objective instances instead probe five sampled rectangular windows per
-repetition, once per objective.
+on a uniform 2-D grid (a random axis-aligned slice when d > 2, a window for
+a bi-objective instance; the grid is handed to the evaluator in open form,
+one coordinate array per dimension, so no (r*r, d) point matrix is built),
+normalizing each field to [0, 1], emulating a filled-contour rendering by
+level quantization, and resizing to the CNN input resolution.  Each field
+is an (r, r) float64 array.  Five views are stacked per configuration into
+one (5, r, r) array; bi-objective instances instead probe five sampled
+rectangular windows per repetition, once per objective.
 """
 
 from __future__ import annotations
@@ -120,11 +120,15 @@ def probe_grid(inst: ProblemInstance, axes: tuple[int, int], r: int) -> np.ndarr
 def probe_grid_moo(
     inst: ProblemInstance, r: int, window: Window = FULL_DOMAIN
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate both objectives of a MOO instance over the same grid."""
+    """Evaluate both objectives of a MOO instance over one endpoint-inclusive
+    r x r grid over window, laid out as probe_grid's.  The grid goes to
+    evaluate_moo_batch in open form, so the terms of one coordinate are
+    computed on r values; the two (r, r) fields are C-contiguous planes of
+    one array, and together cost r * r evaluations."""
     require_instance(inst, "moo", "probe_grid_moo")
     require_type("window", window, Window)
-    f1, f2 = evaluate_moo_batch(inst, _grid(inst, (0, 1), r, window).points()).T
-    return f1.reshape(r, r), f2.reshape(r, r)
+    pairs = evaluate_moo_batch(inst, _grid(inst, (0, 1), r, window))
+    return pairs[..., 0], pairs[..., 1]
 
 
 def normalize(field) -> np.ndarray:
@@ -157,7 +161,8 @@ def quantize_levels(field, levels: int) -> np.ndarray:
         raise ContractError(f"quantize_levels expects a nonempty field, got shape {vals.shape}")
     if not (vals.min() >= 0.0 and vals.max() <= 1.0):
         raise ContractError("quantize_levels expects a field normalized to [0, 1]")
-    v = np.minimum(vals, 1.0 - 1e-12)
+    # out= keeps a 0-d field an array: np.minimum would return a numpy scalar, which np.floor(out=) refuses
+    v = np.minimum(vals, 1.0 - 1e-12, out=np.empty_like(vals))
     v *= levels
     np.floor(v, out=v)
     v += 0.5

@@ -302,43 +302,64 @@ def evaluate_soo_batch(inst: ProblemInstance, xs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Bi-objective formulas.  The toolkit domain is [-5, 5]^2 everywhere; ZDT's
 # native [0, 1]^2 box is reached through an affine map so the prober only
-# ever deals with one domain convention.  Points are read as (2, n) coordinate
-# rows and fill a (2, n) output, so the (n, 2) result has contiguous columns.
+# ever deals with one domain convention.  The formulas take two coordinate
+# rows that broadcast together, the (m,) rows of a block of points or an
+# OpenGrid's rows, and write both objectives into a (2, *shape) output, so
+# a term of one coordinate is computed on that coordinate's values only and
+# each objective is one contiguous plane.
 
 
 def _to_unit(xs):
     return (xs - DOMAIN_LO) / (DOMAIN_HI - DOMAIN_LO)
 
 
-def _zdt_f2(code, f1, g):
-    """Second ZDT objective from f1 and the distance function g."""
-    ratio = f1 / g
-    if code == "zdt1":
-        return g * (1.0 - np.sqrt(ratio))
-    if code == "zdt2":
-        return g * (1.0 - ratio**2)
-    return g * (1.0 - np.sqrt(ratio) - ratio * np.sin(10.0 * np.pi * f1))  # zdt3
+def _zdt_f2(code, f1, g, out):
+    """Second ZDT objective from f1 and the distance function g, written
+    into out, the shape they broadcast to; zdt3's sine is taken on f1's own
+    values, and its ratio * sine is the one temporary of out's size."""
+    ratio = np.divide(f1, g, out=out)
+    wave = ratio * np.sin(10.0 * np.pi * f1) if code == "zdt3" else None
+    (np.square if code == "zdt2" else np.sqrt)(ratio, out=out)  # ratio**2 is np.square
+    np.subtract(1.0, out, out=out)
+    if wave is not None:
+        out -= wave
+    out *= g  # x * g == g * x bit for bit
+    return out
 
 
-def evaluate_moo_batch(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a (n, 2) batch of finite points into (n, 2) objective pairs."""
-    require_instance(inst, "moo", "evaluate_moo_batch")
-    xs = _batch_points(xs, 2)
+def _moo_values(inst: ProblemInstance, rows, out) -> None:
+    """Both objectives on two coordinate rows, into out[0] and out[1]."""
     code = inst.id.function_code
-    out = np.empty((2, len(xs)))
-    for blk, rows in _blocks(xs):
-        if code == "bi_sphere":
-            a, b = inst.centers
-            out[0, blk] = sum((rows - a[:, None]) ** 2)
-            out[1, blk] = sum((rows - b[:, None]) ** 2)
-        else:
-            # ZDT is defined on its box only; outside it zdt1 and zdt3 take roots of negatives
-            if rows.min() < DOMAIN_LO or rows.max() > DOMAIN_HI:
-                raise DataError(f"{code} points must lie in the domain [{DOMAIN_LO}, {DOMAIN_HI}]^2")
-            u = _to_unit(rows)
-            out[0, blk] = u[0]
-            out[1, blk] = _zdt_f2(code, u[0], 1.0 + 9.0 * u[1])
-    return out.T
+    if code == "bi_sphere":
+        # a + b has the bits of the builtin sum's 0 + a + b: a square is never -0.0, so 0 + a == a
+        for plane, center in zip(out, inst.centers):
+            np.add((rows[0] - center[0]) ** 2, (rows[1] - center[1]) ** 2, out=plane)
+        return
+    # ZDT is defined on its box only; outside it zdt1 and zdt3 take roots of negatives
+    if any(row.size and (row.min() < DOMAIN_LO or row.max() > DOMAIN_HI) for row in rows):
+        raise DataError(f"{code} points must lie in the domain [{DOMAIN_LO}, {DOMAIN_HI}]^2")
+    f1 = _to_unit(rows[0])
+    out[0] = f1
+    _zdt_f2(code, f1, 1.0 + 9.0 * _to_unit(rows[1]), out[1])
+
+
+def evaluate_moo_batch(inst: ProblemInstance, xs) -> np.ndarray:
+    """Evaluate a MOO instance on a (n, 2) batch of finite points, into
+    (n, 2) objective pairs, or on an OpenGrid of 2 coordinates, into
+    (*grid.shape, 2) pairs.  Either is a view of one (2, ...) array, so
+    each objective is C-contiguous."""
+    require_instance(inst, "moo", "evaluate_moo_batch")
+    if isinstance(xs, OpenGrid):
+        if len(xs.coords) != MOO_DIMENSION:
+            raise ContractError(f"expected a grid of {MOO_DIMENSION} coordinates, got {len(xs.coords)}")
+        out = np.empty((2, *xs.shape))
+        _moo_values(inst, xs.coords, out)
+    else:
+        xs = _batch_points(xs, MOO_DIMENSION)
+        out = np.empty((2, len(xs)))
+        for blk, rows in _blocks(xs):
+            _moo_values(inst, rows, out[:, blk])
+    return np.moveaxis(out, 0, -1)
 
 
 def pareto_front_points(inst: ProblemInstance, n: int = 2001) -> np.ndarray:
@@ -358,7 +379,7 @@ def pareto_front_points(inst: ProblemInstance, n: int = 2001) -> np.ndarray:
         gap = np.sum((b - a) ** 2)
         pts = np.stack([t**2 * gap, (1.0 - t) ** 2 * gap], axis=-1)
         return pts
-    pts = np.stack([t, _zdt_f2(code, t, 1.0)], axis=-1)
+    pts = np.stack([t, _zdt_f2(code, t, 1.0, np.empty(n))], axis=-1)
     if code == "zdt3":
         pts = pts[nondominated_2d(pts)]
     return pts

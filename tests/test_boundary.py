@@ -366,6 +366,13 @@ TYPED_REFUSALS = {
     "open-grid-empty": (lambda tmp: OpenGrid(()), ContractError, "^a grid needs at least one coordinate$"),
     "soo-batch-grid-arity": (lambda tmp: evaluate_soo_batch(SOO, OpenGrid((np.zeros(3),) * 3)), ContractError,
                              "^expected a grid of 2 coordinates, got 3$"),
+    "moo-batch-grid-one-coordinate": (lambda tmp: evaluate_moo_batch(MOO, OpenGrid((np.zeros(3),))), ContractError,
+                                      "^expected a grid of 2 coordinates, got 1$"),
+    "moo-batch-grid-three-coordinates": (lambda tmp: evaluate_moo_batch(MOO, OpenGrid((np.zeros(3),) * 3)),
+                                         ContractError, "^expected a grid of 2 coordinates, got 3$"),
+    "moo-batch-grid-outside-zdt-domain": (
+        lambda tmp: evaluate_moo_batch(MOO, OpenGrid((np.zeros((1, 3)), np.array([[0.0], [5.5]])))),
+        DataError, r"^zdt1 points must lie in the domain \[-5.0, 5.0\]\^2$"),
 }
 
 
@@ -398,6 +405,14 @@ def test_a_grid_without_points_evaluates_to_an_empty_field():
     grid = OpenGrid((np.zeros((0, 1)), np.zeros((1, 3))))
     assert len(grid) == 0 and grid.points().shape == (0, 2)
     assert evaluate_soo_batch(SOO, grid).shape == (0, 3)
+    assert evaluate_moo_batch(MOO, grid).shape == (0, 3, 2)
+
+
+def test_a_zero_dimensional_field_quantizes_to_its_band_midpoint():
+    """np.minimum of a 0-d array is a numpy scalar, which np.floor(out=) refuses."""
+    got = quantize_levels(np.array(0.3), 4)
+    assert isinstance(got, np.ndarray) and got.shape == () and got.dtype == np.float64
+    assert got.tobytes() == np.array(0.375).tobytes()
 
 
 def test_a_window_rebuilds_from_its_json():

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import math
 import types
 
 import numpy as np
@@ -35,7 +36,9 @@ from contoursel.prober import (
     sample_window,
     write_pgm,
 )
-from contoursel.suite import MOO_FUNCTIONS, SOO_FUNCTIONS, ProblemId, evaluate_soo_batch, make_instance
+from contoursel.suite import (
+    MOO_FUNCTIONS, SOO_FUNCTIONS, ProblemId, evaluate_moo_batch, evaluate_soo_batch, make_instance,
+)
 
 
 def sphere_instance(d=2, seed=0, idx=0):
@@ -214,6 +217,25 @@ class TestProbeGrid:
         base = peak(2, (0, 1))
         worst = max(peak(10, axes) for axes in itertools.permutations(range(10), 2))
         assert abs(worst - base) <= 64 * 1024 and worst < 3 * 2**20
+
+    @pytest.mark.parametrize("code", MOO_FUNCTIONS)
+    def test_moo_open_grid_evaluates_to_the_bits_of_its_points(self, code):
+        inst = moo_instance(code, 8)
+        for r, window in itertools.product((2, 7, 41), [FULL_DOMAIN, sample_window(0.1, np.random.default_rng(3))]):
+            grid = prober._grid(inst, (0, 1), r, window)
+            got = evaluate_moo_batch(inst, grid)
+            assert got.shape == (r, r, 2)
+            assert_same_bits(got, evaluate_moo_batch(inst, grid.points()).reshape(r, r, 2))
+            assert all(plane.flags.c_contiguous for plane in probe_grid_moo(inst, r, window))
+
+    @pytest.mark.parametrize("code", MOO_FUNCTIONS)
+    def test_moo_probing_holds_no_point_matrix(self, code):
+        """The window goes to the evaluator in open form and its terms are
+        written in place: a 300 x 300 probe holds its (2, r, r) output and
+        at most one more (r, r) array, not a (r*r, 2) point matrix."""
+        inst = moo_instance(code, 1)
+        window = sample_window(0.1, np.random.default_rng(0))
+        assert traced_peak(lambda: probe_grid_moo(inst, 300, window)) < 2.5 * 2**20
 
     @pytest.mark.parametrize("code", MOO_FUNCTIONS)
     def test_moo_grid_matches_row_major_oracle(self, code):
@@ -526,8 +548,14 @@ class TestStacks:
                 for lam in (0.1, 1.0)
             ]
 
+        def evaluate_points(inst, grid):
+            """The oracle on the grid's points, its pairs in the grid's (r, r) shape."""
+            pts = grid.points()
+            r = math.isqrt(len(pts))
+            return moo_row_major_oracle(inst, pts).reshape(r, r, 2)
+
         fast = stacks()
-        monkeypatch.setattr(prober, "evaluate_moo_batch", moo_row_major_oracle)
+        monkeypatch.setattr(prober, "evaluate_moo_batch", evaluate_points)
         monkeypatch.setattr(prober, "_grid",
                             lambda *args: types.SimpleNamespace(points=lambda: grid_points_oracle(*args)))
         monkeypatch.setattr(prober, "normalize", normalize_oracle)

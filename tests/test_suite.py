@@ -5,6 +5,7 @@ import pytest
 
 from contoursel import suite
 from contoursel.errors import ContractError, DataError, InvalidProblemError
+from contoursel.perfdata import nondominated_2d
 from contoursel.suite import (
     MOO_FUNCTIONS,
     SOO_DIMENSIONS,
@@ -104,14 +105,17 @@ def moo_row_major_oracle(inst, xs):
         return np.stack([np.sum((xs - a) ** 2, axis=-1), np.sum((xs - b) ** 2, axis=-1)], axis=-1)
     u = (xs - suite.DOMAIN_LO) / (suite.DOMAIN_HI - suite.DOMAIN_LO)
     f1, g = u[:, 0], 1.0 + 9.0 * u[:, 1]
+    return np.stack([f1, moo_row_major_f2(code, f1, g)], axis=-1)
+
+
+def moo_row_major_f2(code, f1, g):
+    """ZDT's second objective out of place, as first written."""
     ratio = f1 / g
     if code == "zdt1":
-        f2 = g * (1.0 - np.sqrt(ratio))
-    elif code == "zdt2":
-        f2 = g * (1.0 - ratio**2)
-    else:
-        f2 = g * (1.0 - np.sqrt(ratio) - ratio * np.sin(10.0 * np.pi * f1))
-    return np.stack([f1, f2], axis=-1)
+        return g * (1.0 - np.sqrt(ratio))
+    if code == "zdt2":
+        return g * (1.0 - ratio**2)
+    return g * (1.0 - np.sqrt(ratio) - ratio * np.sin(10.0 * np.pi * f1))
 
 
 def assert_same_bits(got, want):
@@ -374,6 +378,23 @@ def test_zdt1_front_nondominated():
             if i == j:
                 continue
             assert not (np.all(pts[i] <= pts[j]) and np.any(pts[i] < pts[j]))
+
+
+@pytest.mark.parametrize("code", MOO_FUNCTIONS)
+def test_pareto_front_points_keep_the_bits_of_the_out_of_place_formulas(code):
+    """pareto_front_points as first written: ZDT's f2 out of place at g = 1."""
+    inst = make_instance(moo_id(code, 2), 4)
+    for n in (2, 11, 2001):
+        t = np.linspace(0.0, 1.0, n)
+        if code == "bi_sphere":
+            a, b = inst.centers
+            gap = np.sum((b - a) ** 2)
+            want = np.stack([t**2 * gap, (1.0 - t) ** 2 * gap], axis=-1)
+        else:
+            want = np.stack([t, moo_row_major_f2(code, t, 1.0)], axis=-1)
+            if code == "zdt3":
+                want = want[nondominated_2d(want)]
+        assert_same_bits(pareto_front_points(inst, n), want)
 
 
 def test_pareto_front_points_match_direct_evaluation():
