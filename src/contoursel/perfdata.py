@@ -62,8 +62,10 @@ class MooHvRecord:
 
     def __post_init__(self):
         _check_fields(self, ("algorithm", "instance"), (("repetition", 0),))
-        if not is_real(self.hv):
-            raise DataError(f"hv of ({self.instance}, {self.algorithm}, {self.repetition}) is {self.hv!r}, not finite")
+        if not (is_real(self.hv) and self.hv >= 0):
+            raise DataError(
+                f"hv of ({self.instance}, {self.algorithm}, {self.repetition}) is {self.hv!r}, not finite and >= 0"
+            )
 
 
 def _check_fields(record, labels, minimums) -> None:
@@ -268,8 +270,11 @@ def rel_hv(hv, hv_sbs, hv_vbs):
     """Rescale hypervolume against the VBS-SBS gap: SBS ~ 0, VBS = 1,
     negative means worse than the single best solver.  RELHV_EPSILON, added
     above and below, maps a collapsed gap to 1.  Takes floats, giving a
-    float, or arrays that broadcast together; DataError for anything else."""
+    float, or arrays that broadcast together, all finite; DataError for
+    anything else."""
     try:
+        if not all(np.isfinite(v).all() for v in (hv, hv_sbs, hv_vbs)):
+            raise DataError("hypervolumes must be finite, got a NaN or inf")
         return (hv - hv_sbs + RELHV_EPSILON) / (hv_vbs - hv_sbs + RELHV_EPSILON)
     except (TypeError, ValueError) as exc:
         raise DataError(f"hypervolumes must be numbers or arrays that broadcast together: {exc}") from None

@@ -29,11 +29,6 @@ MOO_FUNCTIONS = ("zdt1", "zdt2", "zdt3", "bi_sphere")
 SOO_DIMENSIONS = (2, 3, 5, 10)
 MOO_DIMENSION = 2
 
-# Points per evaluation block of a (n, d) batch: a block's coordinates and
-# the formulas' temporaries stay in cache (4096 to 16384 timed alike, 65536
-# slower).  An OpenGrid is evaluated whole.
-BLOCK_POINTS = 8192
-
 # Group analogy: 1 separable, 2 low-conditioned valley, 3 high-conditioned,
 # 4 multimodal with global structure, 5 multimodal with weak structure.
 FUNCTION_GROUPS = {
@@ -141,13 +136,12 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Single-objective formulas.  Each takes the shifted coordinates z as d rows,
-# one per coordinate, that broadcast together: the (m,) rows of a block of
-# points, or an OpenGrid's rows, where a term is computed on the values of
-# its own coordinate only.  Each returns the broadcast shape's values, with
-# minimum 0 at z = 0 (rosenbrock: z = 1).  Rows are added whole and in
-# order, as the builtin sum adds them, for any shape, so a grid point gets
-# the bits it gets in a block; np.sum(axis=0) would add a lone column
-# pairwise.
+# one per coordinate, that broadcast together: the (n,) columns of a batch,
+# or an OpenGrid's rows, where a term is computed on the values of its own
+# coordinate only.  Each returns the broadcast shape's values, with minimum
+# 0 at z = 0 (rosenbrock: z = 1).  Rows are added whole and in order, as the
+# builtin sum adds them, for any shape, so a grid point gets the bits it
+# gets in a batch; np.sum(axis=0) would add a lone column pairwise.
 
 
 def _fold(ufunc, start, rows):
@@ -247,29 +241,19 @@ class OpenGrid:
     def __len__(self) -> int:
         return math.prod(self.shape)
 
-    def points(self) -> np.ndarray:
-        """The (n, d) points, n = len(self), in the grid's C order; each
-        coordinate is one contiguous column."""
-        d = len(self.coords)
-        pts = np.empty((d, *self.shape))
-        for row, c in zip(pts, self.coords):
-            row[...] = c
-        return pts.reshape(d, len(self)).T
 
-
-def _batch_points(xs, d: int) -> np.ndarray:
-    """xs as a finite (n, d) float64 array."""
+def _coordinate_rows(xs, d: int):
+    """The d coordinate rows to evaluate: an OpenGrid's coordinate arrays,
+    or the (n,) columns of a finite (n, d) batch, as the rows of its
+    (d, n) transpose."""
+    if isinstance(xs, OpenGrid):
+        if len(xs.coords) != d:
+            raise ContractError(f"expected a grid of {d} coordinates, got {len(xs.coords)}")
+        return xs.coords
     xs = finite_array(xs, "points")
     if xs.ndim != 2 or xs.shape[1] != d:
         raise ContractError(f"expected points of shape (n, {d}), got {xs.shape}")
-    return xs
-
-
-def _blocks(xs):
-    """(slice, (d, m) coordinate rows) per block of BLOCK_POINTS points."""
-    for start in range(0, len(xs), BLOCK_POINTS):
-        blk = slice(start, start + BLOCK_POINTS)
-        yield blk, xs[blk].T
+    return xs.T
 
 
 def _soo_values(inst: ProblemInstance, rows):
@@ -286,15 +270,7 @@ def evaluate_soo_batch(inst: ProblemInstance, xs) -> np.ndarray:
     points, into (n,) values, or on an OpenGrid of d coordinates, into one
     value per grid point in the grid's shape."""
     require_instance(inst, "soo", "evaluate_soo_batch")
-    if isinstance(xs, OpenGrid):
-        if len(xs.coords) != inst.dimension:
-            raise ContractError(f"expected a grid of {inst.dimension} coordinates, got {len(xs.coords)}")
-        out = _soo_values(inst, xs.coords)
-    else:
-        xs = _batch_points(xs, inst.dimension)
-        out = np.empty(len(xs))
-        for blk, rows in _blocks(xs):
-            out[blk] = _soo_values(inst, rows)
+    out = _soo_values(inst, _coordinate_rows(xs, inst.dimension))
     out += inst.f_opt
     return out
 
@@ -303,10 +279,10 @@ def evaluate_soo_batch(inst: ProblemInstance, xs) -> np.ndarray:
 # Bi-objective formulas.  The toolkit domain is [-5, 5]^2 everywhere; ZDT's
 # native [0, 1]^2 box is reached through an affine map so the prober only
 # ever deals with one domain convention.  The formulas take two coordinate
-# rows that broadcast together, the (m,) rows of a block of points or an
-# OpenGrid's rows, and write both objectives into a (2, *shape) output, so
-# a term of one coordinate is computed on that coordinate's values only and
-# each objective is one contiguous plane.
+# rows that broadcast together, the (n,) columns of a batch or an OpenGrid's
+# rows, and write both objectives into a (2, *shape) output, so a term of
+# one coordinate is computed on that coordinate's values only and each
+# objective is one contiguous plane.
 
 
 def _to_unit(xs):
@@ -349,16 +325,9 @@ def evaluate_moo_batch(inst: ProblemInstance, xs) -> np.ndarray:
     (*grid.shape, 2) pairs.  Either is a view of one (2, ...) array, so
     each objective is C-contiguous."""
     require_instance(inst, "moo", "evaluate_moo_batch")
-    if isinstance(xs, OpenGrid):
-        if len(xs.coords) != MOO_DIMENSION:
-            raise ContractError(f"expected a grid of {MOO_DIMENSION} coordinates, got {len(xs.coords)}")
-        out = np.empty((2, *xs.shape))
-        _moo_values(inst, xs.coords, out)
-    else:
-        xs = _batch_points(xs, MOO_DIMENSION)
-        out = np.empty((2, len(xs)))
-        for blk, rows in _blocks(xs):
-            _moo_values(inst, rows, out[:, blk])
+    rows = _coordinate_rows(xs, MOO_DIMENSION)
+    out = np.empty((2, *np.broadcast(*rows).shape))
+    _moo_values(inst, rows, out)
     return np.moveaxis(out, 0, -1)
 
 

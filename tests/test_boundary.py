@@ -373,6 +373,17 @@ TYPED_REFUSALS = {
     "moo-batch-grid-outside-zdt-domain": (
         lambda tmp: evaluate_moo_batch(MOO, OpenGrid((np.zeros((1, 3)), np.array([[0.0], [5.5]])))),
         DataError, r"^zdt1 points must lie in the domain \[-5.0, 5.0\]\^2$"),
+    # a hypervolume is refused before it is divided: NaN and inf would pass through as silent values
+    "rel-hv-nan": (lambda tmp: rel_hv(np.nan, 0.5, 1.0), DataError, "^hypervolumes must be finite"),
+    "rel-hv-infinite-vbs": (lambda tmp: rel_hv(0.5, 0.5, np.inf), DataError, "^hypervolumes must be finite"),
+    "rel-hv-array-with-nan": (lambda tmp: rel_hv(np.array([[0.5, np.nan]]), np.array([[0.5]]), np.array([[1.0]])),
+                              DataError, "^hypervolumes must be finite"),
+    "moo-record-negative-hv": (lambda tmp: MooHvRecord("a", "i", 0, -1.0), DataError, r"is -1\.0, not finite and >= 0$"),
+    # bi_sphere is defined outside the domain, so only the window keeps its probe inside
+    "window-past-the-domain": (lambda tmp: Window(lo=(4.0, 4.0), side=(5.0, 5.0)), ContractError,
+                               r"^a window must lie inside the domain \[-5.0, 5.0\]\^2"),
+    "window-below-the-domain": (lambda tmp: Window(lo=(-5.5, 0.0), side=(1.0, 1.0)), ContractError,
+                                r"^a window must lie inside the domain \[-5.0, 5.0\]\^2"),
 }
 
 
@@ -403,7 +414,7 @@ def test_a_tuple_of_point_tuples_is_a_batch_not_a_grid():
 
 def test_a_grid_without_points_evaluates_to_an_empty_field():
     grid = OpenGrid((np.zeros((0, 1)), np.zeros((1, 3))))
-    assert len(grid) == 0 and grid.points().shape == (0, 2)
+    assert len(grid) == 0
     assert evaluate_soo_batch(SOO, grid).shape == (0, 3)
     assert evaluate_moo_batch(MOO, grid).shape == (0, 3, 2)
 

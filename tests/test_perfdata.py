@@ -722,7 +722,7 @@ class TestCsv:
         assert path.read_text().splitlines()[1] == "a,zdt1_0,3,0.30000000000000004"
         assert ingest_moo_hv(path) == [MooHvRecord("a", "zdt1_0", 3, 0.1 + 0.2)]
 
-    @pytest.mark.parametrize("row", [",zdt1_0,0,0.5", "a,,0,0.5", "a,zdt1_0,-1,0.5", "a,zdt1_0,0,x"])
+    @pytest.mark.parametrize("row", [",zdt1_0,0,0.5", "a,,0,0.5", "a,zdt1_0,-1,0.5", "a,zdt1_0,0,x", "a,zdt1_0,0,-0.5"])
     def test_moo_bad_field_names_line(self, tmp_path, row):
         path = tmp_path / "hv.csv"
         path.write_text(f"algorithm,instance,repetition,hv\na,zdt1_0,0,0.5\n{row}\n")

@@ -3,7 +3,6 @@ import dataclasses
 import itertools
 import json
 import math
-import types
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from test_suite import (
     SOO_CONFIGS,
     assert_matches_row_major_oracle,
     assert_same_bits,
+    grid_points,
     moo_row_major_oracle,
     row_major_oracle,
 )
@@ -192,7 +192,7 @@ class TestProbeGrid:
                 if i == j:
                     continue
                 for window in windows:
-                    got = prober._grid(inst, (i, j), 7, window).points()
+                    got = grid_points(prober._grid(inst, (i, j), 7, window))
                     assert_same_bits(got, grid_points_oracle(inst, (i, j), 7, window))
 
     @pytest.mark.parametrize("code, d", SOO_CONFIGS)
@@ -203,7 +203,7 @@ class TestProbeGrid:
             grid = prober._grid(inst, axes, r, window)
             got = evaluate_soo_batch(inst, grid)
             assert len(grid) == r * r and got.shape == (r, r)
-            assert_same_bits(got, evaluate_soo_batch(inst, grid.points()).reshape(r, r))
+            assert_same_bits(got, evaluate_soo_batch(inst, grid_points(grid)).reshape(r, r))
 
     @pytest.mark.parametrize("code", SOO_FUNCTIONS)
     def test_probing_memory_does_not_grow_with_dimension(self, code):
@@ -225,7 +225,7 @@ class TestProbeGrid:
             grid = prober._grid(inst, (0, 1), r, window)
             got = evaluate_moo_batch(inst, grid)
             assert got.shape == (r, r, 2)
-            assert_same_bits(got, evaluate_moo_batch(inst, grid.points()).reshape(r, r, 2))
+            assert_same_bits(got, evaluate_moo_batch(inst, grid_points(grid)).reshape(r, r, 2))
             assert all(plane.flags.c_contiguous for plane in probe_grid_moo(inst, r, window))
 
     @pytest.mark.parametrize("code", MOO_FUNCTIONS)
@@ -548,16 +548,14 @@ class TestStacks:
                 for lam in (0.1, 1.0)
             ]
 
-        def evaluate_points(inst, grid):
+        def evaluate_points(inst, pts):
             """The oracle on the grid's points, its pairs in the grid's (r, r) shape."""
-            pts = grid.points()
             r = math.isqrt(len(pts))
             return moo_row_major_oracle(inst, pts).reshape(r, r, 2)
 
         fast = stacks()
         monkeypatch.setattr(prober, "evaluate_moo_batch", evaluate_points)
-        monkeypatch.setattr(prober, "_grid",
-                            lambda *args: types.SimpleNamespace(points=lambda: grid_points_oracle(*args)))
+        monkeypatch.setattr(prober, "_grid", grid_points_oracle)
         monkeypatch.setattr(prober, "normalize", normalize_oracle)
         monkeypatch.setattr(prober, "quantize_levels", quantize_levels_oracle)
         monkeypatch.setattr(prober, "resize_bilinear", resize_bilinear_oracle)

@@ -29,7 +29,7 @@ SOO_CONFIGS = [(code, d) for code in SOO_FUNCTIONS for d in SOO_DIMENSIONS]
 
 # The eight formulas as first written: row-major (n, d) shifted points,
 # reduced over the last axis, the whole batch at once.  evaluate_soo_batch
-# evaluates coordinate-major blocks instead and is pinned to this oracle.
+# evaluates coordinate rows instead and is pinned to this oracle.
 def _row_major_formulas():
     def ellipsoid(z):
         d = z.shape[-1]
@@ -67,11 +67,16 @@ def _row_major_formulas():
 _ROW_MAJOR = _row_major_formulas()
 
 
+def grid_points(grid):
+    """An OpenGrid's (n, d) points in the grid's C order, for the batch oracles."""
+    return np.stack(np.broadcast_arrays(*grid.coords), -1).reshape(-1, len(grid.coords))
+
+
 def row_major_oracle(inst, xs):
-    """evaluate_soo_batch of a (n, d) batch, row-major and unblocked; an
-    OpenGrid is expanded into its points, and the values take its shape."""
+    """evaluate_soo_batch of a (n, d) batch, row-major; an OpenGrid is
+    expanded into its points, and the values take its shape."""
     if isinstance(xs, OpenGrid):
-        return row_major_oracle(inst, xs.points()).reshape(xs.shape)
+        return row_major_oracle(inst, grid_points(xs)).reshape(xs.shape)
     z = np.asarray(xs, dtype=float, order="C") - inst.x_opt
     if inst.id.function_code == "rosenbrock":
         z = z + 1.0
@@ -215,16 +220,17 @@ def test_batch_matches_row_major_oracle_on_random_points(code, d):
 
 @pytest.mark.parametrize("code, d", SOO_CONFIGS)
 def test_memory_layout_and_block_boundaries_change_no_bit(code, d):
-    block = suite.BLOCK_POINTS
+    """A batch's values depend neither on its memory layout nor on where it
+    is split, on either side of 8192 points."""
     inst = make_instance(soo_id(code, d), 5)
-    xs = np.random.default_rng(1).uniform(-5.0, 5.0, size=(block + 2, d))
+    xs = np.random.default_rng(1).uniform(-5.0, 5.0, size=(8194, d))
     whole = evaluate_soo_batch(inst, xs)
     np.testing.assert_array_equal(evaluate_soo_batch(inst, np.asfortranarray(xs)), whole)
-    for n in (0, 1, block - 1, block + 1):
+    for n in (0, 1, 8191, 8193):
         np.testing.assert_array_equal(evaluate_soo_batch(inst, xs[:n]), whole[:n])
         np.testing.assert_array_equal(evaluate_soo_batch(inst, xs[n:]), whole[n:])
-    singles = [evaluate_soo_batch(inst, xs[i : i + 1]) for i in range(block - 2, block + 2)]
-    np.testing.assert_array_equal(np.concatenate(singles), whole[block - 2 : block + 2])
+    singles = [evaluate_soo_batch(inst, xs[i : i + 1]) for i in range(8190, 8194)]
+    np.testing.assert_array_equal(np.concatenate(singles), whole[8190:8194])
 
 
 @pytest.mark.parametrize("code", MOO_FUNCTIONS)
@@ -239,16 +245,16 @@ def test_moo_batch_matches_row_major_oracle_on_random_points(code):
 
 @pytest.mark.parametrize("code", MOO_FUNCTIONS)
 def test_moo_memory_layout_and_block_boundaries_change_no_bit(code):
-    block = suite.BLOCK_POINTS
+    """As the SOO test: no memory layout or split point moves a bit."""
     inst = make_instance(moo_id(code), 5)
-    xs = np.random.default_rng(2).uniform(-5.0, 5.0, size=(block + 2, 2))
+    xs = np.random.default_rng(2).uniform(-5.0, 5.0, size=(8194, 2))
     whole = evaluate_moo_batch(inst, xs)
     assert_same_bits(evaluate_moo_batch(inst, np.asfortranarray(xs)), whole)
-    for n in (0, 1, block - 1, block + 1):
+    for n in (0, 1, 8191, 8193):
         assert_same_bits(evaluate_moo_batch(inst, xs[:n]), whole[:n])
         assert_same_bits(evaluate_moo_batch(inst, xs[n:]), whole[n:])
-    singles = [evaluate_moo_batch(inst, xs[i : i + 1]) for i in range(block - 2, block + 2)]
-    assert_same_bits(np.concatenate(singles), whole[block - 2 : block + 2])
+    singles = [evaluate_moo_batch(inst, xs[i : i + 1]) for i in range(8190, 8194)]
+    assert_same_bits(np.concatenate(singles), whole[8190:8194])
 
 
 @pytest.mark.parametrize("code", MOO_FUNCTIONS)
@@ -262,8 +268,8 @@ def test_moo_batch_objective_columns_are_contiguous(code):
 @pytest.mark.parametrize("point", [(-6.0, -6.0), (5.5, 0.0), (0.0, -5.000001), (0.0, 5.000001)])
 def test_zdt_points_outside_the_domain_rejected(code, point):
     inst = make_instance(moo_id(code), 0)
-    xs = np.zeros((suite.BLOCK_POINTS + 1, 2))
-    xs[-1] = point  # in the second block, so every block is checked
+    xs = np.zeros((8193, 2))
+    xs[-1] = point
     for bad in (xs, [point]):
         with pytest.raises(DataError, match=r"domain \[-5.0, 5.0\]\^2"):
             evaluate_moo_batch(inst, bad)
@@ -311,8 +317,8 @@ def test_open_grid_keeps_read_only_copies():
     ax[:] = 9.0
     assert grid.shape == (3, 3) and len(grid) == 9 and grid.coords[1].shape == (1,)
     assert grid.coords[0].max() == 1.0 and not any(c.flags.writeable for c in grid.coords)
-    pts = grid.points()
-    assert pts.shape == (9, 3) and pts[:, 0].flags.c_contiguous
+    pts = grid_points(grid)
+    assert pts.shape == (9, 3)
     np.testing.assert_array_equal(pts[:4], [[-1.0, 0.5, -1.0], [0.0, 0.5, -1.0], [1.0, 0.5, -1.0], [-1.0, 0.5, 0.0]])
     # rosenbrock shifts its rows in place, which a number coordinate must survive
     inst = make_instance(soo_id("rosenbrock", 3), 2)
