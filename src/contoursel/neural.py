@@ -21,7 +21,8 @@ samples at a time (see ENCODER_CHUNK_BYTES): each slot's images of the
 group go through every conv block and the global average pool before the
 next group starts, so a pass holds one group's feature maps however large
 the batch, and conv0's zero padding is the only copy of a chunk's images.
-Model._encode runs one group and orders its embeddings by slot, then view.
+Model.embed gives a batch's head-input rows, the embeddings ordered by slot,
+then view, and a prediction is the head run over those rows.
 A training step runs each group's encoder, head and backward back to back,
 so it too holds one group's caches, then runs the head once more over the
 whole batch for the loss and the head's gradients.
@@ -440,23 +441,23 @@ class Model:
         step = max(1, ENCODER_CHUNK_BYTES // (8 * r * r * spec.encoder_channels[0] * images))
         return [slice(start, start + step) for start in range(0, n, step)]
 
-    def forward_batch(self, stacks, dims):
-        """Predict (N, output_count) from stacks and dims, the raw problem
-        dimension of each sample in a 1-D array; returns (predictions, None).
+    def embed(self, stacks, dims) -> np.ndarray:
+        """The (N, spec.embedding_width + 1) head-input rows of stacks and
+        dims, the raw problem dimension of each sample in a 1-D array: each
+        sample's embeddings, then its dims * DIMENSION_SCALE.
 
         stacks holds stack_count view-first arrays of one shape (N, k, r, r),
         one per slot, in a list or tuple.  Each sample gives channel-last
         images, one k-channel image per slot ("combined") or one 1-channel
         image per view ("separate"); the encoder reads them in place, one
-        group of samples and one slot at a time, and the head runs once over
-        the whole batch.  The embeddings reach the head in slot order and
-        then view order, so two slots of k views embed exactly as one slot
-        of 2k views.  No layer keeps a backward cache.
+        group of samples and one slot at a time.  The embeddings are in slot
+        order and then view order, so two slots of k views embed exactly as
+        one slot of 2k views.  No layer keeps a backward cache.
 
         A pass is flat in batch size for C-contiguous float64 stacks, as
         train, np.stack and row slices give.  Another dtype is copied once,
         whole, and a "separate" stack whose sample and view axes cannot
-        merge (x[:, :5] of 7 views) once per group; either predicts the bits
+        merge (x[:, :5] of 7 views) once per group; either embeds the bits
         of its copy.
         """
         stacks, dims = _samples(stacks, dims)
@@ -464,7 +465,12 @@ class Model:
         inputs = np.empty((len(dims), self.spec.embedding_width + 1))
         for rows in self._groups(len(dims), stacks[0].shape[2]):
             inputs[rows] = self._encode(stacks, dims, rows, need_cache=False)[0]
-        return self._head(inputs, need_cache=False)
+        return inputs
+
+    def forward_batch(self, stacks, dims):
+        """Predict (N, output_count): the head, run once over the whole
+        batch's embed(stacks, dims) rows; returns (predictions, None)."""
+        return self._head(self.embed(stacks, dims), need_cache=False)
 
     def _encode(self, stacks, dims, rows, *, need_cache: bool):
         """The head-input rows of the sample group rows of a checked batch:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ContractError, DataError, ParseError, finite_array, is_integer, is_real, opened, require_integer, require_type,
+    ContractError, DataError, ParseError, finite_array, float_array, is_integer, is_real, opened, require_integer,
+    require_type,
 )
 
 log = logging.getLogger(__name__)
@@ -145,7 +146,8 @@ def relert_matrix(erts: dict, penalty_override: float | None = None) -> RelErtTa
     None when no run succeeded.  Undefined entries receive 10x the maximum
     finite relERT over the whole table (PAR10 style); pass penalty_override
     to pin the constant instead, e.g. for parity with externally published
-    tables.  A configuration no algorithm solved is dropped.
+    tables.  A configuration no algorithm solved is dropped.  DataError
+    naming the configuration whose relERT, or naming the penalty, overflows.
     """
     if penalty_override is not None and not (is_real(penalty_override) and penalty_override >= 1):
         raise ContractError(f"penalty_override must be a finite real >= 1, got {penalty_override!r}")
@@ -173,8 +175,16 @@ def relert_matrix(erts: dict, penalty_override: float | None = None) -> RelErtTa
             log.warning("dropping configuration (%s, d=%d): no algorithm succeeded", f, d)
     if not solved.any():
         raise DataError("no configuration has a finite ERT")
-    relert = ert[solved] / np.nanmin(ert[solved], axis=1, keepdims=True)
-    penalty = float(penalty_override if penalty_override is not None else 10.0 * np.nanmax(relert))
+    with np.errstate(over="ignore"):
+        relert = ert[solved] / np.nanmin(ert[solved], axis=1, keepdims=True)
+        penalty = float(penalty_override if penalty_override is not None else 10.0 * np.nanmax(relert))
+    overflowed = np.isinf(relert).any(axis=1)
+    if overflowed.any():
+        f, d = tuple(itertools.compress(configs, solved))[np.argmax(overflowed)]
+        raise DataError(f"relERT of configuration {(f, d)!r} overflows: its ERTs span more than a float holds")
+    if not np.isfinite(penalty):
+        raise DataError(f"PAR10 penalty, 10 x the largest relERT {float(np.nanmax(relert)):g}, overflows; "
+                        "pin it with penalty_override")
     relert[np.isnan(relert)] = penalty
     return RelErtTable(
         configs=tuple(itertools.compress(configs, solved)),
@@ -269,15 +279,23 @@ def hypervolume_2d(points, ref) -> float:
 def rel_hv(hv, hv_sbs, hv_vbs):
     """Rescale hypervolume against the VBS-SBS gap: SBS ~ 0, VBS = 1,
     negative means worse than the single best solver.  RELHV_EPSILON, added
-    above and below, maps a collapsed gap to 1.  Takes floats, giving a
-    float, or arrays that broadcast together, all finite; DataError for
-    anything else."""
+    above and below, maps a collapsed gap to 1.  Takes real numbers, giving
+    a float, or real arrays that broadcast together, all finite; DataError
+    for anything else (a bool, a complex value) and for a quotient that
+    overflows."""
+    if any(isinstance(v, bool) or getattr(v, "dtype", None) == bool for v in (hv, hv_sbs, hv_vbs)):
+        raise DataError("hypervolumes must be real numbers, got a bool")
+    hv, hv_sbs, hv_vbs = (float_array(v, "hypervolumes") for v in (hv, hv_sbs, hv_vbs))
+    if not all(np.isfinite(v).all() for v in (hv, hv_sbs, hv_vbs)):
+        raise DataError("hypervolumes must be finite, got a NaN or inf")
     try:
-        if not all(np.isfinite(v).all() for v in (hv, hv_sbs, hv_vbs)):
-            raise DataError("hypervolumes must be finite, got a NaN or inf")
-        return (hv - hv_sbs + RELHV_EPSILON) / (hv_vbs - hv_sbs + RELHV_EPSILON)
-    except (TypeError, ValueError) as exc:
+        with np.errstate(all="ignore"):
+            rel = (hv - hv_sbs + RELHV_EPSILON) / (hv_vbs - hv_sbs + RELHV_EPSILON)
+    except ValueError as exc:
         raise DataError(f"hypervolumes must be numbers or arrays that broadcast together: {exc}") from None
+    if not np.isfinite(rel).all():
+        raise DataError("relHV is not finite: a hypervolume difference or its quotient overflows")
+    return float(rel) if rel.ndim == 0 else rel
 
 
 def reference_point(fronts) -> tuple[float, float]:

@@ -50,7 +50,10 @@ class Window:
         pairs = all(isinstance(v, tuple) and len(v) == 2 and all(map(is_real, v)) for v in (self.lo, self.side))
         if not (pairs and min(self.side) > 0):
             raise ContractError(f"a window is a corner and positive sides, each two finite reals, not {self!r}")
-        # lo + side is the grid's last coordinate, as _grid computes it
+        # floats, so numpy integers cannot overflow lo + side, the grid's
+        # last coordinate as _grid computes it
+        for name in ("lo", "side"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if not all(DOMAIN_LO <= lo <= lo + side <= DOMAIN_HI for lo, side in zip(self.lo, self.side)):
             raise ContractError(f"a window must lie inside the domain [{DOMAIN_LO}, {DOMAIN_HI}]^2, not {self!r}")
 

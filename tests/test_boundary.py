@@ -384,6 +384,24 @@ TYPED_REFUSALS = {
                                r"^a window must lie inside the domain \[-5.0, 5.0\]\^2"),
     "window-below-the-domain": (lambda tmp: Window(lo=(-5.5, 0.0), side=(1.0, 1.0)), ContractError,
                                 r"^a window must lie inside the domain \[-5.0, 5.0\]\^2"),
+    # numpy integers would overflow lo + side, with a RuntimeWarning, before the refusal
+    "window-integer-overflow": (
+        lambda tmp: Window(lo=(np.int64(2**62), np.int64(0)), side=(np.int64(2**62), 1.0)), ContractError,
+        r"^a window must lie inside the domain \[-5.0, 5.0\]\^2"),
+    # finite hypervolumes whose difference or quotient overflows would give a silent NaN or inf
+    "rel-hv-difference-overflows": (lambda tmp: rel_hv(1e308, -1e308, 1e308), DataError, "^relHV is not finite"),
+    "rel-hv-quotient-overflows": (lambda tmp: rel_hv(1e308, -1e308, 0.0), DataError, "^relHV is not finite"),
+    "rel-hv-bools": (lambda tmp: rel_hv(True, False, True), DataError,
+                     "^hypervolumes must be real numbers, got a bool$"),
+    "rel-hv-numpy-bool-array": (lambda tmp: rel_hv(np.array([True]), 0.5, 1.0), DataError,
+                                "^hypervolumes must be real numbers, got a bool$"),
+    "rel-hv-complex": (lambda tmp: rel_hv(np.array([0.5 + 1j]), 0.5, 1.0), DataError,
+                       "^hypervolumes must be real numbers, got complex128 values$"),
+    # a cast to float would drop the imaginary part
+    "hv-complex-points": (lambda tmp: hypervolume_2d([[0.5 + 1j, 0.5]], (1.0, 1.0)), DataError,
+                          "must be real numbers, got complex128 values$"),
+    "embed-view-count": (lambda tmp: MODEL.embed([np.zeros((1, 4, 8, 8))], [2.0]), ContractError,
+                         r"^model expects 1 stack\(s\) of shape \(n, 5, r, r\), got 1 of shape \(1, 4, 8, 8\)$"),
 }
 
 
@@ -424,6 +442,17 @@ def test_a_zero_dimensional_field_quantizes_to_its_band_midpoint():
     got = quantize_levels(np.array(0.3), 4)
     assert isinstance(got, np.ndarray) and got.shape == () and got.dtype == np.float64
     assert got.tobytes() == np.array(0.375).tobytes()
+
+
+def test_a_window_holds_floats():
+    window = Window(lo=(np.int64(1), 0), side=(np.int64(2), 1))
+    assert window == Window(lo=(1.0, 0.0), side=(2.0, 1.0))
+    assert all(type(v) is float for v in window.lo + window.side)
+
+
+def test_rel_hv_of_numbers_is_a_float():
+    assert type(rel_hv(0.7, 0.5, 0.9)) is float
+    assert type(rel_hv(np.float64(0.7), np.array(0.5), 0.9)) is float
 
 
 def test_a_window_rebuilds_from_its_json():

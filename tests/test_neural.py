@@ -402,10 +402,10 @@ class TestModelShapes:
     @pytest.mark.parametrize("variant", ["combined", "separate"])
     @pytest.mark.parametrize("stack_count", [1, 2])
     def test_prediction_pass_gives_the_training_forward_bits(self, variant, stack_count):
-        """forward_batch keeps no cache; its predictions are the bits of the
-        cached encoder and head passes that training runs, at an odd
-        resolution where every pool drops a row and a column, and a step's
-        loss is the loss of those predictions."""
+        """forward_batch keeps no cache; its predictions, and embed's head
+        inputs, are the bits of the cached encoder and head passes that
+        training runs, at an odd resolution where every pool drops a row and
+        a column, and a step's loss is the loss of those predictions."""
         spec = ModelSpec(variant=variant, input_resolution=11, output_count=3, stack_count=stack_count,
                          encoder_channels=(4, 6), head_widths=(8,))
         model = Model(spec, seed=2)
@@ -418,6 +418,7 @@ class TestModelShapes:
         want, head = model._head(x, need_cache=True)
         assert none is None and len(encoder) == stack_count and head is not None
         assert pred.tobytes() == want.tobytes()
+        assert model.embed(stacks, dims).tobytes() == x.tobytes()
         assert model.loss_and_grads(stacks, dims, targets) == mse_loss(pred, targets)[0]
 
     def test_a_call_checks_its_batch_once(self, monkeypatch):
@@ -557,8 +558,8 @@ class TestModelShapes:
 def whole_batch_oracle(model: Model, stacks, dims, targets):
     """Predictions, loss and every parameter gradient (by name) from the
     encoder's layer loop run over all images of the batch at once, as it
-    ran before the encoder was chunked; and for each conv parameter the sum
-    of the magnitudes of the terms its gradient adds up."""
+    ran before the encoder was chunked; for each conv parameter the sum of
+    the magnitudes of the terms its gradient adds up; and the head inputs."""
     spec = model.spec
     views = [x[..., None] if spec.variant == "separate" else x.transpose(0, 2, 3, 1) for x in stacks]
     x = np.stack(views, axis=1).reshape(-1, *views[0].shape[-3:])
@@ -569,7 +570,8 @@ def whole_batch_oracle(model: Model, stacks, dims, targets):
         x, relu = relu_forward(x)
         blocks.append((conv, pool, relu))
     x, gap = global_avg_pool_forward(x)
-    x = np.concatenate([x.reshape(len(dims), spec.embedding_width), dims[:, None] * neural.DIMENSION_SCALE], axis=1)
+    x = inputs = np.concatenate([x.reshape(len(dims), spec.embedding_width), dims[:, None] * neural.DIMENSION_SCALE],
+                                axis=1)
     hidden = []
     for w, b in model.denses[:-1]:
         x, dense = dense_forward(x, w.value, b.value)
@@ -594,7 +596,7 @@ def whole_batch_oracle(model: Model, stacks, dims, targets):
         _, *magnitudes = conv2d_backward(np.abs(g), (np.abs(xp), xshape, w), need_dx=False)
         scales.update(zip((p.name for p in params), magnitudes))
         g = add(params, *conv2d_backward(g, conv))
-    return pred, loss, grads, scales
+    return pred, loss, grads, scales, inputs
 
 
 def chunk_cases():
@@ -621,8 +623,9 @@ def chunk_cases():
 class TestChunkedEncoder:
     @pytest.mark.parametrize("variant, stack_count, samples, resolution, chunk", chunk_cases())
     def test_chunks_give_the_whole_batch_bits(self, monkeypatch, variant, stack_count, samples, resolution, chunk):
-        """Predictions, loss and head gradients are the bits of the
-        whole-batch oracle.  Only the conv weight and bias gradients, sums
+        """Head inputs, predictions, loss and head gradients are the bits of
+        the whole-batch oracle, and the predictions are the head over the
+        head inputs.  Only the conv weight and bias gradients, sums
         over every pixel of every image, regroup by sample group, and their
         prediction gradients come from each group's own head pass: each
         agrees to 1e-13 of the magnitude of the terms it adds up."""
@@ -637,13 +640,16 @@ class TestChunkedEncoder:
         stacks = [rng.random((samples, 5, resolution, resolution)) for _ in range(stack_count)]
         dims = rng.integers(2, 11, size=samples).astype(float)
         targets = rng.normal(size=(samples, 3))
-        want_pred, want_loss, want_grads, scales = whole_batch_oracle(model, stacks, dims, targets)
+        want_pred, want_loss, want_grads, scales, want_inputs = whole_batch_oracle(model, stacks, dims, targets)
         calls = {}
         monkeypatch.setattr(neural, "conv2d_forward", counting(calls, "conv", neural.conv2d_forward))
         pred, _ = model.forward_batch(stacks, dims)
         # a chunk is one slot's images of one group
         assert calls["conv"] == 2 * stack_count * -(-samples // per_group)
         assert pred.tobytes() == want_pred.tobytes()
+        inputs = model.embed(stacks, dims)
+        assert inputs.tobytes() == want_inputs.tobytes()
+        assert model._head(inputs, need_cache=False)[0].tobytes() == pred.tobytes()
         assert model.loss_and_grads(stacks, dims, targets) == want_loss
         for p in model.params():
             if p.name in scales:

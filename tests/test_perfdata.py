@@ -238,6 +238,17 @@ class TestRelErt:
         assert t.configs == (("f", 2),)
         assert "dropping configuration" in caplog.text
 
+    @pytest.mark.parametrize("erts, message", [
+        ({("f", 2, "a"): 1e308, ("f", 2, "b"): 1e-308}, r"^relERT of configuration \('f', 2\) overflows"),
+        ({("f", 2, "a"): 2e307, ("f", 2, "b"): 1.0, ("f", 2, "c"): None},
+         r"^PAR10 penalty, 10 x the largest relERT 2e\+307, overflows"),
+    ], ids=["relert", "penalty"])
+    def test_overflow_rejected(self, erts, message):
+        """Finite ERTs whose ratio, or ten times it, exceeds the float range
+        would give a silent inf relERT or penalty."""
+        with pytest.raises(DataError, match=message):
+            relert_matrix(erts)
+
     def test_nothing_finite_rejected(self):
         with pytest.raises(DataError):
             relert_matrix({("f", 2, "a"): None})
